@@ -32,7 +32,9 @@
 //!   programming depths and two operating temperatures plus a raw-BER
 //!   point, a few seeded trials each, through
 //!   `StudyExecutor::run_fault` — with determinism across thread counts
-//!   asserted and end-to-end trial throughput recorded and floor-gated.
+//!   and every trial's bit-identity to the full-forward oracle asserted,
+//!   the zero-flip trial count recorded, and end-to-end trial throughput
+//!   recorded and floor-gated.
 //! - **`multi_study` seeded queue** (the PR 6 seeding target): the same
 //!   campaign queue run once more through one shared [`IncumbentStore`]
 //!   (single lane, so warmth is deterministic): studies whose design
@@ -232,6 +234,34 @@ fn fault_campaign() -> FaultStudyConfig {
     }
 }
 
+/// Re-runs every trial of `trials` through the full-forward oracle —
+/// reload the corrupted image into a clone of the shared classifier and
+/// re-evaluate — and asserts the incremental evaluator's accuracy is
+/// bit-identical. Returns how many trials flipped no bit.
+fn check_fault_trials_against_oracle(
+    campaign: &FaultStudyConfig,
+    trials: &[nvmexplorer_core::fault_study::FaultTrial],
+) -> usize {
+    let evaluator = nvmexplorer_core::accuracy::evaluator();
+    let models = nvmexplorer_core::fault_study::expand_models(campaign);
+    for trial in trials {
+        let mut image = evaluator.model().weight_bytes();
+        let model = &models[trial.model_index].model;
+        model.inject_seeded(&mut image, trial.injection_seed);
+        let mut faulty = evaluator.model().clone();
+        faulty.load_weight_bytes(&image);
+        let oracle = faulty.accuracy(evaluator.test_set());
+        assert_eq!(
+            trial.accuracy.to_bits(),
+            oracle.to_bits(),
+            "fault trial {} of model {} diverged from the full-forward oracle; refusing to record bench",
+            trial.trial,
+            trial.model_index
+        );
+    }
+    trials.iter().filter(|t| t.bits_flipped == 0).count()
+}
+
 /// The queued-campaign shape the scheduler exists for: three studies over
 /// the same cells and traffic family, sliced along the capacity axis. A
 /// warm shared cache lets the later studies reuse most of the first one's
@@ -407,6 +437,7 @@ fn main() {
         "fault campaign's base study diverged from a plain run; refusing to record bench"
     );
     assert_eq!(fault_reference.study.evaluations, fault_base.evaluations);
+    let zero_flip_trials = check_fault_trials_against_oracle(&fault, &fault_reference.fault.trials);
 
     // --- Cache + prune behavior on the multi-capacity study ---------------
     let cache = SubarrayCache::new();
@@ -834,7 +865,7 @@ fn main() {
         "    \"campaign\": \"fault study over the 3-target default study (14 cells x SLC+MLC2 x 25/85 C cell-derived models + 1 raw-BER point, 2 seeded trials per model)\",\n",
     );
     json.push_str(
-        "    \"engine\": \"StudyExecutor::run_fault — slot-seeded injection trials fanned out on lanes; each trial corrupts, reloads, and re-evaluates the shared int8 classifier\",\n",
+        "    \"engine\": \"StudyExecutor::run_fault — slot-seeded injection trials fanned out on lanes; each trial corrupts the shared int8 classifier's weight image and the incremental TrialEvaluator re-scores only the layers it touched, checked bit-for-bit against the full-forward oracle\",\n",
     );
     let _ = writeln!(
         json,
@@ -851,6 +882,7 @@ fn main() {
         "    \"degraded\": {},",
         fault_reference.fault.stats.degraded
     );
+    let _ = writeln!(json, "    \"zero_flip_trials\": {zero_flip_trials},");
     json.push_str("    \"results_ms_median\": [\n");
     for (i, (threads, current_ms)) in fault_rows.iter().enumerate() {
         let _ = writeln!(
@@ -941,9 +973,10 @@ fn main() {
         .map(|(_, ms)| evaluations_per_sec(fault_reference.fault.trials.len(), *ms))
         .fold(0.0f64, f64::max);
     eprintln!(
-        "fault campaign ({} models, {} trials, {} degraded): best {:.1} trials/s end-to-end",
+        "fault campaign ({} models, {} trials, {} with no flip, {} degraded): best {:.1} trials/s end-to-end, every trial equal to the full-forward oracle",
         fault_reference.fault.stats.models,
         fault_reference.fault.stats.trials,
+        zero_flip_trials,
         fault_reference.fault.stats.degraded,
         fault_best_trials_per_sec
     );

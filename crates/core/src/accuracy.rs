@@ -3,24 +3,28 @@
 //!
 //! A trained int8 classifier's weight image is stored in a given cell
 //! technology at a given programming depth, corrupted by the corresponding
-//! fault model, and re-evaluated. The trained model is built once per
-//! process and shared across studies.
+//! fault model, and re-evaluated. The trained model and its
+//! [`TrialEvaluator`] are built once per process and shared across studies.
 
 use nvmx_celldb::CellDefinition;
 use nvmx_fault::FaultModel;
 use nvmx_units::BitsPerCell;
-use nvmx_workloads::dataset::Dataset;
-use nvmx_workloads::nn::{trained_classifier, QuantizedMlp};
+use nvmx_workloads::nn::{trained_classifier, TrialEvaluator};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
-static CLASSIFIER: OnceLock<(QuantizedMlp, Dataset)> = OnceLock::new();
+static EVALUATOR: OnceLock<TrialEvaluator> = OnceLock::new();
 
 /// Training seed for the shared fault-study classifier.
 const DNN_SEED: u64 = 2022;
 
-fn classifier() -> &'static (QuantizedMlp, Dataset) {
-    CLASSIFIER.get_or_init(|| trained_classifier(DNN_SEED))
+/// The process-wide shared classifier, wrapped in the trial evaluator that
+/// scores its corrupted weight images. Trained on first use.
+pub fn evaluator() -> &'static TrialEvaluator {
+    EVALUATOR.get_or_init(|| {
+        let (model, test) = trained_classifier(DNN_SEED);
+        TrialEvaluator::new(model, test)
+    })
 }
 
 /// Accuracy measurement for one `(cell, programming depth)` pair.
@@ -54,13 +58,14 @@ impl AccuracyReport {
 /// Fault-free accuracy of the process-wide shared classifier — the
 /// baseline every fault trial is compared against.
 pub fn baseline_accuracy() -> f64 {
-    let (clean, test) = classifier();
-    clean.accuracy(test)
+    evaluator().baseline()
 }
 
 /// Runs one fault trial on the shared classifier with an explicit
-/// injection seed: corrupt the weight image under `model`, reload, and
-/// re-evaluate. Returns the injection report and the degraded accuracy.
+/// injection seed: corrupt the weight image under `model` and score it with
+/// the shared [`TrialEvaluator`]. Returns the injection report and the
+/// degraded accuracy, bit-identical to reloading the image into the
+/// classifier and re-running the full forward pass.
 ///
 /// This is the streamed-campaign building block: the fault-study engine
 /// derives each trial's seed from (study seed, slot coordinate) and
@@ -68,12 +73,10 @@ pub fn baseline_accuracy() -> f64 {
 /// trial this function ran. Pure function of `(model, seed)` — safe to
 /// fan out across threads.
 pub fn fault_trial(model: &FaultModel, seed: u64) -> (nvmx_fault::InjectionReport, f64) {
-    let (clean, test) = classifier();
-    let mut corrupted = clean.weight_bytes();
+    let evaluator = evaluator();
+    let mut corrupted = evaluator.clean_image().to_vec();
     let report = model.inject_seeded(&mut corrupted, seed);
-    let mut faulty = clean.clone();
-    faulty.load_weight_bytes(&corrupted);
-    (report, faulty.accuracy(test))
+    (report, evaluator.accuracy(&corrupted))
 }
 
 /// Measures classifier accuracy with weights stored in `cell` at
@@ -89,25 +92,17 @@ pub fn accuracy_under_storage(
 
 /// Measures classifier accuracy under an explicit fault model.
 pub fn accuracy_under_model(model: &FaultModel, trials: u32) -> AccuracyReport {
-    let (clean, test) = classifier();
-    let baseline = clean.accuracy(test);
-    let pristine = clean.weight_bytes();
-
     let mut sum = 0.0;
     let mut worst = 1.0f64;
     let trials = trials.max(1);
     for trial in 0..trials {
-        let mut corrupted = pristine.clone();
-        model.inject_seeded(&mut corrupted, 0x5EED_0000 + u64::from(trial));
-        let mut faulty = clean.clone();
-        faulty.load_weight_bytes(&corrupted);
-        let acc = faulty.accuracy(test);
+        let (_, acc) = fault_trial(model, 0x5EED_0000 + u64::from(trial));
         sum += acc;
         worst = worst.min(acc);
     }
 
     AccuracyReport {
-        baseline,
+        baseline: baseline_accuracy(),
         mean: sum / f64::from(trials),
         worst,
         bit_error_rate: model.bit_error_rate(),
@@ -118,6 +113,8 @@ pub fn accuracy_under_model(model: &FaultModel, trials: u32) -> AccuracyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CampaignConfig;
+    use crate::fault_study::{expand_models, injection_seed};
     use nvmx_celldb::{tentpole, CellFlavor, TechnologyClass};
 
     #[test]
@@ -173,6 +170,31 @@ mod tests {
         let report = accuracy_under_model(&model, 2);
         assert!(report.mean < report.baseline - 0.3);
         assert!(report.worst <= report.mean);
+    }
+
+    #[test]
+    fn every_quickstart_trial_matches_the_full_forward_oracle() {
+        let json = include_str!("../../../config/fault_quickstart.json");
+        let Ok(CampaignConfig::Fault(config)) = CampaignConfig::from_json(json) else {
+            panic!("fault_quickstart.json is a fault campaign");
+        };
+        let evaluator = evaluator();
+        let trials = config.fault.trials.max(1) as usize;
+        for (m, spec) in expand_models(&config).iter().enumerate() {
+            for t in 0..trials {
+                let seed = injection_seed(config.fault.seed, (m * trials + t) as u64);
+                let (report, accuracy) = fault_trial(&spec.model, seed);
+
+                let mut image = evaluator.model().weight_bytes();
+                assert_eq!(spec.model.inject_seeded(&mut image, seed), report);
+                let mut faulty = evaluator.model().clone();
+                faulty.load_weight_bytes(&image);
+                let oracle = faulty.accuracy(evaluator.test_set());
+                assert_eq!(accuracy.to_bits(), oracle.to_bits(), "model {m} trial {t}");
+            }
+        }
+        let clean = evaluator.model().accuracy(evaluator.test_set());
+        assert_eq!(baseline_accuracy().to_bits(), clean.to_bits());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use crate::accuracy::{self, AccuracyReport};
 use crate::config::FaultStudyConfig;
-use crate::scheduler::run_on_lanes_streaming;
+use crate::scheduler::{run_on_lanes, run_on_lanes_streaming};
 use crate::stream::{ResultSink, StudyEvent, StudyExecutor, StudyStats};
 use crate::sweep::{StudyError, StudyResult};
 use nvmx_fault::FaultModel;
@@ -227,7 +227,6 @@ impl StudyExecutor<'_> {
         let baseline = accuracy::baseline_accuracy();
         let tolerance = config.fault.tolerance;
         let min_accuracy = config.study.constraints.min_accuracy;
-        let passive = sink.is_passive();
 
         // One task per (model, trial) slot. Seeds are a pure function of
         // the slot coordinate, so the trial set is independent of thread
@@ -242,33 +241,32 @@ impl StudyExecutor<'_> {
             .map(|(m, t, slot)| (m, t, injection_seed(config.fault.seed, slot)))
             .collect();
 
-        let trials = run_on_lanes_streaming(
-            &tasks,
-            self.threads(),
-            |_, &(m, t, seed)| {
-                let spec = &models[m];
-                let (injection, accuracy) = accuracy::fault_trial(&spec.model, seed);
-                FaultTrial {
-                    model_index: m,
-                    trial: t,
-                    cell: spec.model.cell_name.clone(),
-                    bits_per_cell: spec.model.bits_per_cell,
-                    temperature_c: spec.temperature_c,
-                    bit_error_rate: spec.model.bit_error_rate(),
-                    injection_seed: seed,
-                    bits_total: injection.bits_total,
-                    bits_flipped: injection.bits_flipped,
-                    accuracy,
-                }
-            },
-            |index, trial| {
-                if passive {
-                    return Ok(());
-                }
+        let run_trial = |_, &(m, t, seed): &(usize, u32, u64)| {
+            let spec = &models[m];
+            let (injection, accuracy) = accuracy::fault_trial(&spec.model, seed);
+            FaultTrial {
+                model_index: m,
+                trial: t,
+                cell: spec.model.cell_name.clone(),
+                bits_per_cell: spec.model.bits_per_cell,
+                temperature_c: spec.temperature_c,
+                bit_error_rate: spec.model.bit_error_rate(),
+                injection_seed: seed,
+                bits_total: injection.bits_total,
+                bits_flipped: injection.bits_flipped,
+                accuracy,
+            }
+        };
+        // A passive sink takes no per-trial events, so there is nothing to
+        // drain in slot order: plain lanes, no drain thread waiting on them.
+        let trials = if sink.is_passive() {
+            run_on_lanes(&tasks, self.threads(), run_trial)
+        } else {
+            run_on_lanes_streaming(&tasks, self.threads(), run_trial, |index, trial| {
                 sink.on_event(&StudyEvent::FaultTrialProduced { index, trial })
-            },
-        )
-        .map_err(StudyError::from)?;
+            })
+            .map_err(StudyError::from)?
+        };
 
         let mut reports = Vec::with_capacity(models.len());
         for (m, spec) in models.iter().enumerate() {
@@ -467,6 +465,21 @@ mod tests {
             .run_fault(&config, &mut crate::stream::NullSink)
             .unwrap();
         assert_eq!(one, four);
+    }
+
+    #[test]
+    fn passive_and_recording_sinks_produce_the_same_outcome() {
+        let config = small_campaign();
+        for threads in [1, 4] {
+            let executor = StudyExecutor::with_threads(threads);
+            let passive = executor
+                .run_fault(&config, &mut crate::stream::NullSink)
+                .unwrap();
+            let mut recorder = Recorder { kinds: Vec::new() };
+            let recorded = executor.run_fault(&config, &mut recorder).unwrap();
+            assert_eq!(passive.fault, recorded.fault, "{threads} threads");
+            assert!(recorder.kinds.contains(&"fault_trial_produced"));
+        }
     }
 
     #[test]

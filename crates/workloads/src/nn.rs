@@ -13,6 +13,17 @@ use crate::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
 
+/// Share of `data`'s samples whose largest logit is their label.
+fn share_correct(logits: &Matrix, data: &Dataset) -> f64 {
+    let correct = data
+        .labels
+        .iter()
+        .enumerate()
+        .filter(|&(i, &label)| logits.argmax_row(i) == label)
+        .count();
+    correct as f64 / data.len().max(1) as f64
+}
+
 /// One dense layer: `y = relu?(x·W + b)`.
 #[derive(Debug, Clone)]
 pub struct Dense {
@@ -86,14 +97,7 @@ impl Mlp {
 
     /// Classification accuracy over a dataset.
     pub fn accuracy(&self, data: &Dataset) -> f64 {
-        let logits = self.forward(&data.images);
-        let correct = data
-            .labels
-            .iter()
-            .enumerate()
-            .filter(|&(i, &label)| logits.argmax_row(i) == label)
-            .count();
-        correct as f64 / data.len().max(1) as f64
+        share_correct(&self.forward(&data.images), data)
     }
 
     /// One epoch of minibatch SGD with softmax cross-entropy. Returns mean
@@ -288,6 +292,23 @@ impl QuantizedMlp {
         }
     }
 
+    /// Layer `i`'s output over `input`, restricted to the output `columns`,
+    /// with the layer's weights read from `bytes` (its slice of a weight
+    /// image). Per element this is exactly what [`Self::forward`] computes.
+    fn layer_columns(&self, i: usize, bytes: &[u8], input: &Matrix, columns: &[usize]) -> Matrix {
+        let out_dim = self.widths[i + 1];
+        let w = Matrix::from_fn(self.widths[i], columns.len(), |r, c| {
+            bytes[r * out_dim + columns[c]] as i8 as f32 * self.scales[i]
+        });
+        let mut y = input.matmul(&w);
+        let bias: Vec<f32> = columns.iter().map(|&c| self.biases[i][c]).collect();
+        y.add_row_bias(&bias);
+        if self.relu[i] {
+            y.relu_inplace();
+        }
+        y
+    }
+
     /// Forward pass with dequantized weights.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut h = x.clone();
@@ -312,14 +333,137 @@ impl QuantizedMlp {
 
     /// Classification accuracy over a dataset.
     pub fn accuracy(&self, data: &Dataset) -> f64 {
-        let logits = self.forward(&data.images);
-        let correct = data
-            .labels
-            .iter()
-            .enumerate()
-            .filter(|&(i, &label)| logits.argmax_row(i) == label)
-            .count();
-        correct as f64 / data.len().max(1) as f64
+        share_correct(&self.forward(&data.images), data)
+    }
+}
+
+/// Scores corrupted weight images of one [`QuantizedMlp`] on one test set,
+/// recomputing only what the corruption touched.
+///
+/// Built once from the clean model, it keeps the clean weight image, each
+/// layer's byte offset into it, every clean layer output over the test set,
+/// and the clean (baseline) accuracy. [`Self::accuracy`] then:
+///
+/// - returns the baseline when no byte differs from the clean image;
+/// - otherwise finds the first layer `L` with a changed byte, recomputes
+///   only `L`'s output columns that have a changed weight (one narrow
+///   product over `L`'s clean input), scatters them into a copy of `L`'s
+///   clean output, and runs the layers after `L` in full.
+///
+/// The result is bit-identical to [`QuantizedMlp::load_weight_bytes`] +
+/// [`QuantizedMlp::accuracy`], which stay the oracle: column `j` of `x·W`
+/// depends only on column `j` of `W`, and [`Matrix::matmul`] sums every
+/// element in the same order whatever the width of `W`.
+#[derive(Debug)]
+pub struct TrialEvaluator {
+    model: QuantizedMlp,
+    test: Dataset,
+    clean: Vec<u8>,
+    /// Byte offset of each layer in the image, plus the image length.
+    offsets: Vec<usize>,
+    /// Clean output of each layer over the test set (after ReLU).
+    outputs: Vec<Matrix>,
+    baseline: f64,
+}
+
+impl TrialEvaluator {
+    /// Runs the clean model over `test` once and caches what trials reuse.
+    pub fn new(model: QuantizedMlp, test: Dataset) -> Self {
+        let clean = model.weight_bytes();
+        let mut offsets = vec![0];
+        for layer in &model.weights_q {
+            offsets.push(offsets.last().expect("nonempty") + layer.len());
+        }
+        let mut outputs: Vec<Matrix> = Vec::with_capacity(model.weights_q.len());
+        for i in 0..model.weights_q.len() {
+            let input = outputs.last().unwrap_or(&test.images);
+            let all: Vec<usize> = (0..model.widths[i + 1]).collect();
+            let output = model.layer_columns(i, &clean[offsets[i]..offsets[i + 1]], input, &all);
+            outputs.push(output);
+        }
+        let baseline = share_correct(outputs.last().expect("at least one layer"), &test);
+        Self {
+            model,
+            test,
+            clean,
+            offsets,
+            outputs,
+            baseline,
+        }
+    }
+
+    /// The clean model.
+    pub fn model(&self) -> &QuantizedMlp {
+        &self.model
+    }
+
+    /// The test set every trial is scored on.
+    pub fn test_set(&self) -> &Dataset {
+        &self.test
+    }
+
+    /// The clean weight image ([`QuantizedMlp::weight_bytes`]).
+    pub fn clean_image(&self) -> &[u8] {
+        &self.clean
+    }
+
+    /// The clean model's accuracy on the test set.
+    pub fn baseline(&self) -> f64 {
+        self.baseline
+    }
+
+    /// Accuracy on the test set with the model's weights replaced by
+    /// `image`, equal to `load_weight_bytes(image)` followed by
+    /// [`QuantizedMlp::accuracy`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `image.len()` differs from the clean image's length.
+    pub fn accuracy(&self, image: &[u8]) -> f64 {
+        assert_eq!(image.len(), self.clean.len(), "weight image size mismatch");
+        if image == self.clean.as_slice() {
+            return self.baseline;
+        }
+        share_correct(&self.logits(image), &self.test)
+    }
+
+    /// Test-set logits under `image`, recomputed from the first layer with
+    /// a changed byte.
+    fn logits(&self, image: &[u8]) -> Matrix {
+        let last = self.outputs.len() - 1;
+        let Some(first) = image.iter().zip(&self.clean).position(|(a, b)| a != b) else {
+            return self.outputs[last].clone();
+        };
+        let layer = self.offsets.partition_point(|&start| start <= first) - 1;
+        let bytes = |i: usize| &image[self.offsets[i]..self.offsets[i + 1]];
+
+        let out_dim = self.model.widths[layer + 1];
+        let clean = &self.clean[self.offsets[layer]..self.offsets[layer + 1]];
+        let mut touched = vec![false; out_dim];
+        for (i, (a, b)) in bytes(layer).iter().zip(clean).enumerate() {
+            if a != b {
+                touched[i % out_dim] = true;
+            }
+        }
+        let columns: Vec<usize> = (0..out_dim).filter(|&c| touched[c]).collect();
+        let input = match layer {
+            0 => &self.test.images,
+            _ => &self.outputs[layer - 1],
+        };
+        let narrow = self
+            .model
+            .layer_columns(layer, bytes(layer), input, &columns);
+        let mut h = self.outputs[layer].clone();
+        for r in 0..h.rows() {
+            for (c, &column) in columns.iter().enumerate() {
+                h.set(r, column, narrow.get(r, c));
+            }
+        }
+        for i in layer + 1..=last {
+            let all: Vec<usize> = (0..self.model.widths[i + 1]).collect();
+            h = self.model.layer_columns(i, bytes(i), &h, &all);
+        }
+        h
     }
 }
 
@@ -390,6 +534,85 @@ mod tests {
             corrupted < baseline - 0.2,
             "corruption had no effect: {baseline} -> {corrupted}"
         );
+    }
+
+    /// The full-forward oracle: reload the image into a clone and re-run.
+    fn oracle(evaluator: &TrialEvaluator, image: &[u8]) -> f64 {
+        let mut faulty = evaluator.model().clone();
+        faulty.load_weight_bytes(image);
+        faulty.accuracy(evaluator.test_set())
+    }
+
+    #[test]
+    fn trial_evaluator_matches_the_full_forward_oracle() {
+        let (quant, test) = trained_classifier(25);
+        let evaluator = TrialEvaluator::new(quant.clone(), test.clone());
+        assert_eq!(evaluator.clean_image(), quant.weight_bytes().as_slice());
+        assert_eq!(
+            evaluator.baseline().to_bits(),
+            quant.accuracy(&test).to_bits()
+        );
+
+        // Layers of [256, 64, 32, 10]: bytes [0, 16384), [16384, 18432),
+        // [18432, 18752); the last is the 10-wide output layer.
+        let (l2, l3, end) = (256 * 64, 256 * 64 + 64 * 32, quant.weight_bytes_len());
+        let flipped = |positions: &[usize], mask: u8| {
+            let mut image = evaluator.clean_image().to_vec();
+            for &p in positions {
+                image[p] ^= mask;
+            }
+            image
+        };
+        let mut ber = evaluator.clean_image().to_vec();
+        let mut state = 0x9E37u64;
+        for byte in ber.iter_mut() {
+            for bit in 0..8 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                // 13107 / 65536 = 0.2 of all bits.
+                if (state >> 48) < 13107 {
+                    *byte ^= 1 << bit;
+                }
+            }
+        }
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("no flips", evaluator.clean_image().to_vec()),
+            ("one byte, first layer", flipped(&[1000], 0x80)),
+            ("one byte, middle layer", flipped(&[l2 + 100], 0x80)),
+            ("one byte, last layer", flipped(&[end - 3], 0x80)),
+            (
+                "layer 2 only",
+                flipped(&[l2, l2 + 33, l2 + 700, l3 - 1], 0x41),
+            ),
+            (
+                "all 64 layer-1 columns",
+                flipped(&(0..64).map(|c| 5 * 64 + c).collect::<Vec<_>>(), 0x80),
+            ),
+            ("ber 0.2", ber),
+        ];
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (name, image) in &cases {
+            let fast = evaluator.accuracy(image);
+            assert_eq!(
+                fast.to_bits(),
+                oracle(&evaluator, image).to_bits(),
+                "{name}"
+            );
+            // Stronger than accuracy: every logit bit agrees.
+            let mut faulty = quant.clone();
+            faulty.load_weight_bytes(image);
+            let full = faulty.forward(&test.images);
+            assert_eq!(bits(&evaluator.logits(image)), bits(&full), "{name}");
+        }
+        // The corruptions reach the score: BER 0.2 collapses accuracy.
+        assert!(evaluator.accuracy(&cases[6].1) < evaluator.baseline() - 0.2);
+    }
+
+    #[test]
+    #[should_panic(expected = "size mismatch")]
+    fn trial_evaluator_rejects_a_wrong_size_image() {
+        let mlp = Mlp::new(&[dataset::INPUT_DIM, 4, dataset::CLASSES], 26);
+        let evaluator = TrialEvaluator::new(QuantizedMlp::quantize(&mlp), dataset::generate(8, 26));
+        evaluator.accuracy(&[0u8; 3]);
     }
 
     #[test]

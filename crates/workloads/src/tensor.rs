@@ -101,24 +101,29 @@ impl Matrix {
 
     /// `self × rhs`.
     ///
+    /// Summation-order contract (the incremental fault-trial evaluator in
+    /// [`crate::nn`] relies on it to stay bit-identical to a full pass):
+    ///
+    /// - each output element `(i, j)` starts at `0.0` and accumulates
+    ///   `self[i][k] * rhs[k][j]` for `k` in ascending order, as a separate
+    ///   IEEE multiply followed by a separate add — there is no FMA;
+    /// - left-operand entries equal to zero (`0.0` and `-0.0`) are skipped,
+    ///   so their row of `rhs` never contributes, even when it holds an
+    ///   `inf` or a NaN;
+    /// - column `j` of the result depends only on column `j` of `rhs`.
+    ///
+    /// On x86_64 hosts with AVX2 the same loop runs eight lanes wide; the
+    /// per-element operation sequence, and hence every result bit, is
+    /// unchanged.
+    ///
     /// # Panics
     ///
     /// Panics when inner dimensions disagree.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "inner dimension mismatch");
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                let lhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(lhs_row) {
-                    *o += a * b;
-                }
-            }
+        if self.cols > 0 && rhs.cols > 0 {
+            matmul_dispatch(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
         }
         out
     }
@@ -168,6 +173,46 @@ impl Matrix {
     pub fn abs_max(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
     }
+}
+
+/// The i-k-j product loop behind [`Matrix::matmul`]: `out += lhs × rhs`
+/// for row-major `lhs` (`inner` columns) and `rhs` (`cols` columns).
+/// `inner` and `cols` must be non-zero.
+#[inline(always)]
+fn matmul_kernel(lhs: &[f32], inner: usize, rhs: &[f32], cols: usize, out: &mut [f32]) {
+    for (lhs_row, out_row) in lhs.chunks_exact(inner).zip(out.chunks_exact_mut(cols)) {
+        for (&a, rhs_row) in lhs_row.iter().zip(rhs.chunks_exact(cols)) {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in out_row.iter_mut().zip(rhs_row) {
+                *o += a * b;
+            }
+        }
+    }
+}
+
+/// [`matmul_kernel`] compiled for AVX2. Only `avx2` is enabled — never
+/// `fma` — so the compiler cannot fuse the multiply and the add.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_kernel_avx2(lhs: &[f32], inner: usize, rhs: &[f32], cols: usize, out: &mut [f32]) {
+    matmul_kernel(lhs, inner, rhs, cols, out);
+}
+
+/// Runs [`matmul_kernel`] in the widest form the CPU supports.
+fn matmul_dispatch(lhs: &[f32], inner: usize, rhs: &[f32], cols: usize, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just detected.
+        unsafe { matmul_kernel_avx2(lhs, inner, rhs, cols, out) };
+        return;
+    }
+    matmul_kernel(lhs, inner, rhs, cols, out);
 }
 
 #[cfg(test)]
@@ -230,6 +275,76 @@ mod tests {
             (var / expected - 1.0).abs() < 0.3,
             "var {var} vs {expected}"
         );
+    }
+
+    /// The portable (non-dispatched) kernel on the same operands.
+    fn portable(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        matmul_kernel(
+            a.as_slice(),
+            a.cols(),
+            b.as_slice(),
+            b.cols(),
+            out.as_mut_slice(),
+        );
+        out
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn dispatched_matmul_matches_the_portable_loop_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for _ in 0..200 {
+            let rows = rng.gen_range(1..10);
+            let inner = rng.gen_range(1..301);
+            let cols = rng.gen_range(1..71);
+            // A quarter of the left operand is +0.0 or -0.0.
+            let a = Matrix::from_fn(rows, inner, |_, _| match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-2.0f32..2.0),
+            });
+            let b = Matrix::from_fn(inner, cols, |_, _| rng.gen_range(-2.0f32..2.0));
+            let fast = a.matmul(&b);
+            assert_eq!(
+                bits(&fast),
+                bits(&portable(&a, &b)),
+                "{rows}x{inner}x{cols}"
+            );
+            // Element (i, j) sums k in ascending order, skipping zero lhs.
+            for i in 0..rows {
+                for j in 0..cols {
+                    let mut acc = 0.0f32;
+                    for k in 0..inner {
+                        if a.get(i, k) != 0.0 {
+                            acc += a.get(i, k) * b.get(k, j);
+                        }
+                    }
+                    assert_eq!(fast.get(i, j).to_bits(), acc.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_lhs_entries_skip_infinite_rhs_rows() {
+        // Row 1 of `b` holds an inf, and every lhs entry facing it is a
+        // zero of either sign: skipped, so no 0 × inf = NaN reaches out.
+        for cols in [3, 8, 13] {
+            let a = Matrix::from_fn(3, 3, |r, k| match (r, k) {
+                (0, 1) => 0.0,
+                (_, 1) => -0.0,
+                _ => 1.5,
+            });
+            let mut b = Matrix::from_fn(3, cols, |k, c| (k * cols + c) as f32);
+            b.set(1, cols / 2, f32::INFINITY);
+            let fast = a.matmul(&b);
+            assert!(fast.as_slice().iter().all(|v| v.is_finite()));
+            assert_eq!(bits(&fast), bits(&portable(&a, &b)));
+        }
     }
 
     #[test]
