@@ -1,21 +1,26 @@
 //! Criterion bench: full study sweeps (cells × targets × traffic) and the
 //! evaluation engine itself.
 //!
-//! The `multi_target` group measures the sweep-engine overhaul: the
-//! shared-DSE lock-free engine (`run_study_with_threads`) against the
-//! pre-overhaul per-target mutex-queue engine
-//! (`sweep::baseline::run_study_with_threads`) on the 3-target default
-//! study. `cargo run --release -p nvmx_bench --bin bench_sweep` records the
-//! same comparison into `BENCH_sweep.json`.
+//! The `multi_target` group measures the shared-DSE lock-free engine
+//! (`StudyExecutor`) on the 3-target default study.
+//! `cargo run --release -p nvmx_bench --bin bench_sweep` records the same
+//! study into `BENCH_sweep.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nvmexplorer_core::config::{ArraySettings, CellSelection, StudyConfig, TrafficSpec};
 use nvmexplorer_core::eval::evaluate;
-use nvmexplorer_core::sweep::{baseline, run_study_with_threads};
+use nvmexplorer_core::stream::{NullSink, StudyExecutor};
+use nvmexplorer_core::sweep::StudyResult;
 use nvmx_celldb::{tentpole, CellFlavor, TechnologyClass};
 use nvmx_nvsim::{characterize, characterize_targets, ArrayConfig, OptimizationTarget};
 use nvmx_units::Capacity;
 use nvmx_workloads::TrafficPattern;
+
+fn run_with_threads(study: &StudyConfig, threads: usize) -> StudyResult {
+    StudyExecutor::with_threads(threads)
+        .run(study, &mut NullSink)
+        .unwrap()
+}
 
 fn study() -> StudyConfig {
     StudyConfig {
@@ -52,10 +57,10 @@ fn bench_study(c: &mut Criterion) {
     let mut group = c.benchmark_group("study_sweep");
     group.sample_size(10);
     group.bench_function("serial", |b| {
-        b.iter(|| run_study_with_threads(&study(), 1).unwrap());
+        b.iter(|| run_with_threads(&study(), 1));
     });
     group.bench_function("threads_8", |b| {
-        b.iter(|| run_study_with_threads(&study(), 8).unwrap());
+        b.iter(|| run_with_threads(&study(), 8));
     });
     group.finish();
 }
@@ -68,16 +73,7 @@ fn bench_multi_target(c: &mut Criterion) {
             BenchmarkId::new("shared_dse", threads),
             &threads,
             |b, &threads| {
-                b.iter(|| run_study_with_threads(&multi_target_study(), threads).unwrap());
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("per_target_baseline", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    baseline::run_study_with_threads(&multi_target_study(), threads).unwrap()
-                });
+                b.iter(|| run_with_threads(&multi_target_study(), threads));
             },
         );
     }

@@ -1,32 +1,31 @@
 //! Records the sweep-engine performance trajectory into `BENCH_sweep.json`.
 //!
+//! Before any timing, every study below is run once through the serial
+//! oracle (`sweep::oracle::run_study`: uncached exhaustive scan, scalar
+//! `evaluate` per pair) and the engine's result must match it byte for
+//! byte — arrays, evaluations, and skips in order — or no report is
+//! written.
+//!
+//! Only the shipped engine (`StudyExecutor`) is timed. The retired engine
+//! generations' last recorded medians live verbatim under `trajectory`
+//! (`pr1_recorded`, `retired_engines_recorded`), so the history survives
+//! re-measurement without keeping the old engines alive.
+//!
 //! Measurement groups:
 //!
-//! - **`three_target`** (the PR 1 comparison, kept as the trajectory
-//!   baseline): the 3-target default study under the pre-overhaul
-//!   per-target mutex-queue engine (`sweep::baseline`) and the current
-//!   engine. PR 1's recorded medians are embedded verbatim under
-//!   `trajectory.pr1_recorded` so the history survives re-measurement.
-//! - **`multi_capacity`** (the PR 2 comparison, extended by PR 5): a
-//!   4-capacity × 2-depth × 3-target study under four engine variants —
-//!   `pr1` (shared DSE with per-candidate materialized scoring, no cache),
-//!   `pr4` (the PR 2–4 engine: exhaustive cached scan materializing every
-//!   candidate bank, per-pair `evaluate_shared`), `uncached`
-//!   (branch-and-bound pruned scan without a cache, kernel evaluations),
-//!   and `current` (pruned scan + sweep-wide subarray cache + precomputed
-//!   evaluation kernels). Cache hit/miss/prune counters are recorded
-//!   alongside the medians, and the DSE prune rate is hard-gated.
+//! - **`three_target`**: the 3-target default study.
+//! - **`multi_capacity`**: a 4-capacity × 2-depth × 3-target study. Cache
+//!   hit/miss/prune counters are recorded alongside the medians, and the
+//!   DSE prune rate is hard-gated.
 //! - **`multi_study`** (the PR 3 comparison): a 3-study capacity-sliced
 //!   campaign under the [`StudyScheduler`] sharing one warm
 //!   `SubarrayCache`, against the same three studies run sequentially with
 //!   per-study private caches. Cross-study cache hit rates are recorded
 //!   per study and in aggregate.
-//! - **`large_campaign`** (the PR 5 + PR 6 target): a campaign-scale
-//!   single study — six capacities (1–32 MiB), SLC+MLC2, three targets, an
-//!   8×8 generic traffic grid, tens of thousands of evaluations — measured
-//!   under the PR 2–4 reference engine, the PR 5 scalar-kernel engine, and
-//!   the current batched (structure-of-arrays) engine, with prune rate,
-//!   kernel reuse, and evaluation throughput recorded and gated.
+//! - **`large_campaign`**: a campaign-scale single study — six capacities
+//!   (1–32 MiB), SLC+MLC2, three targets, an 8×8 generic traffic grid,
+//!   tens of thousands of evaluations — with prune rate, kernel reuse, and
+//!   evaluation throughput recorded and gated.
 //! - **`fault_campaign`** (the PR 7 target): a fault-injection campaign
 //!   layered over the 3-target study — every default cell at both
 //!   programming depths and two operating temperatures plus a raw-BER
@@ -64,10 +63,9 @@
 //!
 //! `--quick` drops to a single rep (no warmup) — the CI perf-floor mode.
 //! Wall-clock numbers from a quick run are noise, but the run still *hard
-//! gates* the machine-independent invariants: every engine variant must
-//! produce identical results, the cross-study cache hit rate must stay at
-//! or above its recorded floor, and the DSE prune rates must stay at or
-//! above theirs. `--out PATH` redirects the JSON report (CI uploads it as
+//! gates* the machine-independent invariants: the engine must match the
+//! oracle, the cross-study cache hit rate must stay at or above its
+//! recorded floor, and the DSE prune rates must stay at or above theirs. `--out PATH` redirects the JSON report (CI uploads it as
 //! a workflow artifact instead of overwriting the checked-in trajectory).
 //! The report is written via temp-file + atomic rename, so a killed run
 //! never leaves a torn artifact. `host.available_parallelism` and the rep
@@ -79,7 +77,7 @@ use nvmexplorer_core::config::{
 };
 use nvmexplorer_core::scheduler::StudyScheduler;
 use nvmexplorer_core::stream::{NullSink, StudyExecutor};
-use nvmexplorer_core::sweep::{self, baseline};
+use nvmexplorer_core::sweep::{oracle, StudyResult};
 use nvmx_nvsim::{IncumbentStore, OptimizationTarget, SubarrayCache};
 use nvmx_units::BitsPerCell;
 use std::fmt::Write as _;
@@ -124,6 +122,64 @@ const FAULT_TRIALS_PER_SEC_FLOOR: f64 = 5.0;
 /// concurrent same-key misses. A regression means the store key or the
 /// slab codec stopped round-tripping.
 const WARM_STORE_L2_HIT_FLOOR: f64 = 0.90;
+
+/// One study through the shipped engine with a private cache.
+fn run_with_threads(study: &StudyConfig, threads: usize) -> StudyResult {
+    StudyExecutor::with_threads(threads)
+        .run(study, &mut NullSink)
+        .expect("engine runs")
+}
+
+/// One study through the shipped engine over a caller-owned cache.
+fn run_with_cache(study: &StudyConfig, threads: usize, cache: &SubarrayCache) -> StudyResult {
+    StudyExecutor::with_threads(threads)
+        .cache(cache)
+        .run(study, &mut NullSink)
+        .expect("engine runs")
+}
+
+/// Asserts `result` is byte-identical to the oracle's `reference`.
+fn check_against_oracle(what: &str, result: &StudyResult, reference: &StudyResult) {
+    assert_eq!(
+        result.arrays, reference.arrays,
+        "{what}: arrays diverged from the oracle; refusing to record bench"
+    );
+    assert_eq!(
+        result.evaluations, reference.evaluations,
+        "{what}: evaluations diverged from the oracle; refusing to record bench"
+    );
+    assert_eq!(
+        result.skipped, reference.skipped,
+        "{what}: skips diverged from the oracle; refusing to record bench"
+    );
+}
+
+/// The retired engine generations' medians exactly as last recorded
+/// before the engines were removed (2-core host; 15 reps, 7 for the large
+/// campaign). Kept verbatim as history: the engines no longer exist to
+/// re-time, and their equivalence is now proven against the oracle.
+const RETIRED_ENGINES_RECORDED: &str = r#"    "retired_engines_recorded": {
+      "host": {"available_parallelism": 2, "reps": 15, "reps_large_campaign": 7},
+      "engines": {
+        "baseline": "per-target jobs, mutex queue + mutex result vec, completion-order sort, serial evaluation",
+        "pr1": "PR 1 shared-DSE engine: per-candidate materialized scoring, no subarray cache, deep-copy evaluation",
+        "pr4": "PR 2-4 engine: exhaustive cached scan materializing every candidate bank, per-pair evaluate_shared",
+        "pr5": "PR 5 engine: branch-and-bound pruned scan + subarray cache + per-pair scalar kernel applications",
+        "uncached": "branch-and-bound pruned scan, no subarray cache, kernel evaluation"
+      },
+      "three_target": [
+        {"threads": 1, "baseline_ms": 1.22, "current_ms": 1.01, "speedup": 1.20, "evaluations_per_sec": 665530, "oversubscribed": false},
+        {"threads": 8, "baseline_ms": 0.86, "current_ms": 0.71, "speedup": 1.20, "evaluations_per_sec": 943514, "oversubscribed": true}
+      ],
+      "multi_capacity": [
+        {"threads": 1, "pr1_ms": 11.61, "pr4_ms": 5.88, "uncached_ms": 4.14, "current_ms": 4.50, "speedup_vs_pr1": 2.58, "speedup_vs_pr4": 1.31, "evaluations_per_sec": 1153075, "oversubscribed": false},
+        {"threads": 8, "pr1_ms": 5.98, "pr4_ms": 3.59, "uncached_ms": 2.43, "current_ms": 2.69, "speedup_vs_pr1": 2.23, "speedup_vs_pr4": 1.34, "evaluations_per_sec": 1929767, "oversubscribed": true}
+      ],
+      "large_campaign": [
+        {"threads": 1, "pr4_ms": 12.69, "pr5_ms": 9.52, "current_ms": 6.73, "speedup_vs_pr4": 1.88, "speedup_vs_pr5": 1.41, "evaluations_per_sec": 4619034, "oversubscribed": false},
+        {"threads": 8, "pr4_ms": 7.75, "pr5_ms": 7.10, "current_ms": 6.21, "speedup_vs_pr4": 1.25, "speedup_vs_pr5": 1.14, "evaluations_per_sec": 5005939, "oversubscribed": true}
+      ]
+    }"#;
 
 fn generic_traffic() -> TrafficSpec {
     TrafficSpec::GenericSweep {
@@ -292,8 +348,6 @@ fn campaign_queue() -> Vec<StudyConfig> {
     ]
 }
 
-/// Median wall-clock milliseconds over `reps` runs of `f` (one warmup rep
-/// unless `reps == 1`).
 /// Evaluation throughput implied by a row's median wall-clock: the whole
 /// study (characterization included) over the evaluations it produced, so
 /// the figure is end-to-end, never a cherry-picked inner loop.
@@ -301,6 +355,8 @@ fn evaluations_per_sec(evaluations: usize, ms: f64) -> f64 {
     evaluations as f64 / (ms / 1.0e3)
 }
 
+/// Median wall-clock milliseconds over `reps` runs of `f` (one warmup rep
+/// unless `reps == 1`).
 fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     if reps > 1 {
         f();
@@ -335,81 +391,38 @@ fn main() {
     let reps_large = if quick { 1 } else { REPS_LARGE };
     let parallelism = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
 
-    // --- Sanity: every engine variant must agree before any timing -------
+    // --- Sanity: the engine must match the oracle before any timing -------
     let three = three_target_study();
     let multi = multi_capacity_study();
     let large = large_campaign_study();
-    let reference = sweep::run_study_with_threads(&multi, 8).expect("cached engine runs");
-    for (name, result) in [
-        (
-            "uncached",
-            sweep::run_study_uncached(&multi, 8).expect("uncached engine runs"),
-        ),
-        (
-            "pr4",
-            sweep::run_study_pr4(&multi, 8).expect("pr4 engine runs"),
-        ),
-        (
-            "pr1",
-            sweep::run_study_pr1(&multi, 8).expect("pr1 engine runs"),
-        ),
-        (
-            "pr5",
-            sweep::run_study_pr5(&multi, 8).expect("pr5 engine runs"),
-        ),
-    ] {
-        assert_eq!(
-            reference.arrays, result.arrays,
-            "{name} arrays diverged; refusing to record bench"
-        );
-        assert_eq!(
-            reference.evaluations, result.evaluations,
-            "{name} evaluations diverged; refusing to record bench"
-        );
-    }
+    let reference = oracle::run_study(&multi).expect("oracle runs");
+    check_against_oracle("multi_capacity", &run_with_threads(&multi, 8), &reference);
     let three_evaluations = {
-        let shared = sweep::run_study_with_threads(&three, 8).expect("shared engine runs");
-        let legacy = baseline::run_study_with_threads(&three, 1).expect("baseline engine runs");
-        assert_eq!(shared.arrays, legacy.arrays, "3-target engines diverged");
-        assert_eq!(shared.evaluations, legacy.evaluations);
-        shared.evaluations.len()
+        let reference = oracle::run_study(&three).expect("oracle runs");
+        check_against_oracle("three_target", &run_with_threads(&three, 8), &reference);
+        reference.evaluations.len()
     };
-    let large_reference = sweep::run_study_with_threads(&large, 8).expect("large study runs");
-    for (name, result) in [
-        (
-            "pr4",
-            sweep::run_study_pr4(&large, 8).expect("pr4 large study runs"),
-        ),
-        (
-            "pr5",
-            sweep::run_study_pr5(&large, 8).expect("pr5 large study runs"),
-        ),
-    ] {
-        assert_eq!(
-            large_reference.arrays, result.arrays,
-            "large-campaign {name} arrays diverged; refusing to record bench"
-        );
-        assert_eq!(
-            large_reference.evaluations, result.evaluations,
-            "large-campaign {name} evaluations diverged; refusing to record bench"
-        );
-    }
+    let large_reference = oracle::run_study(&large).expect("oracle runs");
+    check_against_oracle(
+        "large_campaign",
+        &run_with_threads(&large, 8),
+        &large_reference,
+    );
     let queue = campaign_queue();
     let queue_evaluations = {
         let shared_cache = SubarrayCache::new();
-        let report = StudyScheduler::with_workers(8)
-            .lanes(2)
-            .run_queue_silent(&queue, &shared_cache);
+        let report = StudyScheduler::with_workers(8).lanes(2).run_queue(
+            &queue,
+            &shared_cache,
+            None,
+            |_, _| Box::new(NullSink),
+        );
         assert!(report.all_succeeded(), "scheduler queue must run");
         let mut total = 0usize;
         for (study, outcome) in queue.iter().zip(&report.outcomes) {
-            let standalone = sweep::run_study_with_threads(study, 8).expect("standalone runs");
             let scheduled = outcome.result.as_ref().expect("checked above");
-            assert_eq!(
-                scheduled.arrays, standalone.arrays,
-                "scheduled study diverged; refusing to record bench"
-            );
-            assert_eq!(scheduled.evaluations, standalone.evaluations);
+            let reference = oracle::run_study(study).expect("oracle runs");
+            check_against_oracle(&study.name, scheduled, &reference);
             total += scheduled.evaluations.len();
         }
         total
@@ -431,74 +444,52 @@ fn main() {
         fault_reference, fault_single,
         "fault campaign diverged across thread counts; refusing to record bench"
     );
-    let fault_base = sweep::run_study_with_threads(&fault.study, 8).expect("base study runs");
-    assert_eq!(
-        fault_reference.study.arrays, fault_base.arrays,
-        "fault campaign's base study diverged from a plain run; refusing to record bench"
+    check_against_oracle(
+        "fault campaign base study",
+        &fault_reference.study,
+        &oracle::run_study(&fault.study).expect("oracle runs"),
     );
-    assert_eq!(fault_reference.study.evaluations, fault_base.evaluations);
     let zero_flip_trials = check_fault_trials_against_oracle(&fault, &fault_reference.fault.trials);
 
     // --- Cache + prune behavior on the multi-capacity study ---------------
     let cache = SubarrayCache::new();
-    sweep::run_study_with_cache(&multi, 8, &cache).expect("cached run for stats");
+    run_with_cache(&multi, 8, &cache);
     let stats = cache.stats();
 
-    // --- three_target group (PR 1 trajectory) ----------------------------
+    // --- three_target, multi_capacity, large_campaign groups -------------
     let mut three_rows = Vec::new();
-    for threads in [1usize, 8] {
-        let baseline_ms = median_ms(reps, || {
-            drop(baseline::run_study_with_threads(&three, threads).unwrap());
-        });
-        let current_ms = median_ms(reps, || {
-            drop(sweep::run_study_with_threads(&three, threads).unwrap());
-        });
-        three_rows.push((threads, baseline_ms, current_ms));
-    }
-
-    // --- multi_capacity group (PR 2 + PR 5 targets) ------------------------
     let mut multi_rows = Vec::new();
     for threads in [1usize, 8] {
-        let pr1_ms = median_ms(reps, || {
-            drop(sweep::run_study_pr1(&multi, threads).unwrap());
-        });
-        let pr4_ms = median_ms(reps, || {
-            drop(sweep::run_study_pr4(&multi, threads).unwrap());
-        });
-        let uncached_ms = median_ms(reps, || {
-            drop(sweep::run_study_uncached(&multi, threads).unwrap());
-        });
-        let current_ms = median_ms(reps, || {
-            drop(sweep::run_study_with_threads(&multi, threads).unwrap());
-        });
-        multi_rows.push((threads, pr1_ms, pr4_ms, uncached_ms, current_ms));
+        three_rows.push((
+            threads,
+            median_ms(reps, || drop(run_with_threads(&three, threads))),
+        ));
+        multi_rows.push((
+            threads,
+            median_ms(reps, || drop(run_with_threads(&multi, threads))),
+        ));
     }
-
-    // --- large_campaign group (the PR 5 + PR 6 target) ---------------------
     let large_cache = SubarrayCache::new();
-    sweep::run_study_with_cache(&large, 8, &large_cache).expect("large run for stats");
+    run_with_cache(&large, 8, &large_cache);
     let large_stats = large_cache.stats();
     let mut large_rows = Vec::new();
     for threads in [1usize, 8] {
-        let pr4_ms = median_ms(reps_large, || {
-            drop(sweep::run_study_pr4(&large, threads).unwrap());
-        });
-        let pr5_ms = median_ms(reps_large, || {
-            drop(sweep::run_study_pr5(&large, threads).unwrap());
-        });
-        let current_ms = median_ms(reps_large, || {
-            drop(sweep::run_study_with_threads(&large, threads).unwrap());
-        });
-        large_rows.push((threads, pr4_ms, pr5_ms, current_ms));
+        large_rows.push((
+            threads,
+            median_ms(reps_large, || drop(run_with_threads(&large, threads))),
+        ));
     }
 
     // --- multi_study group (PR 3 target) -----------------------------------
     // Cross-study cache behavior, measured once (single-lane so the warm-up
     // order is deterministic: later studies hit what earlier ones missed).
     let campaign_cache = SubarrayCache::new();
-    let campaign_report = StudyScheduler::with_workers(8)
-        .lanes(1)
-        .run_queue_silent(&queue, &campaign_cache);
+    let campaign_report = StudyScheduler::with_workers(8).lanes(1).run_queue(
+        &queue,
+        &campaign_cache,
+        None,
+        |_, _| Box::new(NullSink),
+    );
     let campaign_stats = campaign_cache.stats();
 
     // The seeded queue (PR 6): same studies, same single-lane determinism,
@@ -507,10 +498,11 @@ fn main() {
     // Results must stay byte-identical to the unseeded queue.
     let seeded_cache = SubarrayCache::new();
     let seed_store = IncumbentStore::new();
-    let seeded_report = StudyScheduler::with_workers(8).lanes(1).run_queue_seeded(
+    let seeded_report = StudyScheduler::with_workers(8).lanes(1).run_queue(
         &queue,
         &seeded_cache,
-        &seed_store,
+        Some(&seed_store),
+        |_, _| Box::new(NullSink),
     );
     assert!(seeded_report.all_succeeded(), "seeded queue must run");
     for (cold, warm) in campaign_report.outcomes.iter().zip(&seeded_report.outcomes) {
@@ -536,14 +528,17 @@ fn main() {
             // The pre-scheduler serving pattern: each study runs alone with
             // a private cache.
             for study in &queue {
-                drop(sweep::run_study_with_threads(study, workers).unwrap());
+                drop(run_with_threads(study, workers));
             }
         });
         let scheduler_ms = median_ms(reps, || {
             let cache = SubarrayCache::new();
-            let report = StudyScheduler::with_workers(workers)
-                .lanes(2)
-                .run_queue_silent(&queue, &cache);
+            let report = StudyScheduler::with_workers(workers).lanes(2).run_queue(
+                &queue,
+                &cache,
+                None,
+                |_, _| Box::new(NullSink),
+            );
             assert!(report.all_succeeded());
         });
         study_rows.push((workers, sequential_ms, scheduler_ms));
@@ -567,13 +562,11 @@ fn main() {
     let store_dir = std::env::temp_dir().join(format!("nvmx_bench_store_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     let cold_store_cache = SubarrayCache::with_store(&store_dir).expect("store dir opens");
-    let cold_store_result =
-        sweep::run_study_with_cache(&multi, 8, &cold_store_cache).expect("cold-store run");
-    assert_eq!(
-        reference.arrays, cold_store_result.arrays,
-        "cold-store arrays diverged; refusing to record bench"
+    check_against_oracle(
+        "cold store",
+        &run_with_cache(&multi, 8, &cold_store_cache),
+        &reference,
     );
-    assert_eq!(reference.evaluations, cold_store_result.evaluations);
     let cold_store_stats = cold_store_cache.stats();
     let slabs_published = std::fs::read_dir(&store_dir)
         .map(|entries| {
@@ -584,13 +577,11 @@ fn main() {
         })
         .unwrap_or(0);
     let warm_store_cache = SubarrayCache::with_store(&store_dir).expect("store dir reopens");
-    let warm_store_result =
-        sweep::run_study_with_cache(&multi, 8, &warm_store_cache).expect("warm-store run");
-    assert_eq!(
-        reference.arrays, warm_store_result.arrays,
-        "warm-store arrays diverged; refusing to record bench"
+    check_against_oracle(
+        "warm store",
+        &run_with_cache(&multi, 8, &warm_store_cache),
+        &reference,
     );
-    assert_eq!(reference.evaluations, warm_store_result.evaluations);
     let warm_store_stats = warm_store_cache.stats();
     let warm_l2_lookups =
         warm_store_stats.l2_hits + warm_store_stats.l2_misses + warm_store_stats.l2_rejects;
@@ -605,13 +596,13 @@ fn main() {
         let cold_ms = median_ms(reps, || {
             let _ = std::fs::remove_dir_all(&store_dir);
             let cache = SubarrayCache::with_store(&store_dir).expect("store dir opens");
-            drop(sweep::run_study_with_cache(&multi, threads, &cache).unwrap());
+            drop(run_with_cache(&multi, threads, &cache));
         });
         // The cold reps leave the store fully published; each warm rep
         // attaches a fresh cache, modelling a new process joining it.
         let warm_ms = median_ms(reps, || {
             let cache = SubarrayCache::with_store(&store_dir).expect("store dir reopens");
-            drop(sweep::run_study_with_cache(&multi, threads, &cache).unwrap());
+            drop(run_with_cache(&multi, threads, &cache));
         });
         store_rows.push((threads, cold_ms, warm_ms));
     }
@@ -636,7 +627,9 @@ fn main() {
     json.push_str(
         "        {\"threads\": 8, \"baseline_ms\": 2.96, \"shared_dse_ms\": 1.13, \"speedup\": 2.62}\n",
     );
-    json.push_str("      ]\n    }\n  },\n");
+    json.push_str("      ]\n    },\n");
+    json.push_str(RETIRED_ENGINES_RECORDED);
+    json.push_str("\n  },\n");
 
     json.push_str("  \"three_target\": {\n");
     json.push_str(
@@ -644,18 +637,14 @@ fn main() {
     );
     json.push_str("    \"engines\": {\n");
     json.push_str(
-        "      \"baseline\": \"per-target jobs, mutex queue + mutex result vec, completion-order sort, serial evaluation\",\n",
-    );
-    json.push_str(
-        "      \"current\": \"shared DSE, branch-and-bound pruning, subarray cache, lock-free fan-out, kernel-based parallel evaluation\"\n",
+        "      \"current\": \"shared DSE, branch-and-bound pruning, subarray cache, lock-free fan-out, batched kernel evaluation\"\n",
     );
     json.push_str("    },\n");
     json.push_str("    \"results_ms_median\": [\n");
-    for (i, (threads, baseline_ms, current_ms)) in three_rows.iter().enumerate() {
+    for (i, (threads, current_ms)) in three_rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "      {{\"threads\": {threads}, \"baseline_ms\": {baseline_ms:.2}, \"current_ms\": {current_ms:.2}, \"speedup\": {:.2}, \"evaluations_per_sec\": {:.0}, \"oversubscribed\": {}}}{}",
-            baseline_ms / current_ms,
+            "      {{\"threads\": {threads}, \"current_ms\": {current_ms:.2}, \"evaluations_per_sec\": {:.0}, \"oversubscribed\": {}}}{}",
             evaluations_per_sec(three_evaluations, *current_ms),
             *threads > parallelism,
             if i + 1 < three_rows.len() { "," } else { "" }
@@ -675,16 +664,7 @@ fn main() {
     );
     json.push_str("    \"engines\": {\n");
     json.push_str(
-        "      \"pr1\": \"PR 1 shared-DSE engine: per-candidate materialized scoring, no subarray cache, deep-copy evaluation\",\n",
-    );
-    json.push_str(
-        "      \"pr4\": \"PR 2-4 engine: exhaustive cached scan materializing every candidate bank, per-pair evaluate_shared\",\n",
-    );
-    json.push_str(
-        "      \"uncached\": \"branch-and-bound pruned scan, no subarray cache, kernel evaluation\",\n",
-    );
-    json.push_str(
-        "      \"current\": \"branch-and-bound pruned scan + sweep-wide subarray cache + precomputed evaluation kernels\"\n",
+        "      \"current\": \"branch-and-bound pruned scan + sweep-wide subarray cache + batched kernel evaluation\"\n",
     );
     json.push_str("    },\n");
     let _ = writeln!(
@@ -698,12 +678,10 @@ fn main() {
         stats.prune_rate()
     );
     json.push_str("    \"results_ms_median\": [\n");
-    for (i, (threads, pr1_ms, pr4_ms, uncached_ms, current_ms)) in multi_rows.iter().enumerate() {
+    for (i, (threads, current_ms)) in multi_rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "      {{\"threads\": {threads}, \"pr1_ms\": {pr1_ms:.2}, \"pr4_ms\": {pr4_ms:.2}, \"uncached_ms\": {uncached_ms:.2}, \"current_ms\": {current_ms:.2}, \"speedup_vs_pr1\": {:.2}, \"speedup_vs_pr4\": {:.2}, \"evaluations_per_sec\": {:.0}, \"oversubscribed\": {}}}{}",
-            pr1_ms / current_ms,
-            pr4_ms / current_ms,
+            "      {{\"threads\": {threads}, \"current_ms\": {current_ms:.2}, \"evaluations_per_sec\": {:.0}, \"oversubscribed\": {}}}{}",
             evaluations_per_sec(reference.evaluations.len(), *current_ms),
             *threads > parallelism,
             if i + 1 < multi_rows.len() { "," } else { "" }
@@ -733,12 +711,6 @@ fn main() {
     );
     json.push_str("    \"engines\": {\n");
     json.push_str(
-        "      \"pr4\": \"PR 2-4 engine: exhaustive cached scan materializing every candidate bank, per-pair evaluate_shared\",\n",
-    );
-    json.push_str(
-        "      \"pr5\": \"PR 5 engine: branch-and-bound pruned scan + subarray cache + per-pair scalar kernel applications\",\n",
-    );
-    json.push_str(
         "      \"current\": \"pruned scan + subarray cache + batched structure-of-arrays kernel evaluation over TrafficGrid lanes\"\n",
     );
     json.push_str("    },\n");
@@ -753,12 +725,10 @@ fn main() {
         large_stats.prune_rate()
     );
     json.push_str("    \"results_ms_median\": [\n");
-    for (i, (threads, pr4_ms, pr5_ms, current_ms)) in large_rows.iter().enumerate() {
+    for (i, (threads, current_ms)) in large_rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "      {{\"threads\": {threads}, \"pr4_ms\": {pr4_ms:.2}, \"pr5_ms\": {pr5_ms:.2}, \"current_ms\": {current_ms:.2}, \"speedup_vs_pr4\": {:.2}, \"speedup_vs_pr5\": {:.2}, \"evaluations_per_sec\": {:.0}, \"oversubscribed\": {}}}{}",
-            pr4_ms / current_ms,
-            pr5_ms / current_ms,
+            "      {{\"threads\": {threads}, \"current_ms\": {current_ms:.2}, \"evaluations_per_sec\": {:.0}, \"oversubscribed\": {}}}{}",
             evaluations_per_sec(large_reference.evaluations.len(), *current_ms),
             *threads > parallelism,
             if i + 1 < large_rows.len() { "," } else { "" }
@@ -772,7 +742,7 @@ fn main() {
     );
     json.push_str("    \"engines\": {\n");
     json.push_str(
-        "      \"sequential\": \"3x run_study_with_threads, one private SubarrayCache per study (pre-scheduler serving pattern)\",\n",
+        "      \"sequential\": \"3x StudyExecutor::run, one private SubarrayCache per study (pre-scheduler serving pattern)\",\n",
     );
     json.push_str(
         "      \"scheduler\": \"StudyScheduler, 2 lanes sharing the worker budget and one warm SubarrayCache\"\n",
@@ -938,21 +908,17 @@ fn main() {
     nvmx_bench::campaign::write_file_atomic(std::path::Path::new(&out_path), json.as_bytes())
         .unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     print!("{json}");
-    let eight = multi_rows.iter().find(|(t, ..)| *t == 8).unwrap();
+    let (_, multi_eight_ms) = multi_rows.iter().find(|(t, _)| *t == 8).unwrap();
     eprintln!(
-        "multi-capacity speedup at 8 threads: {:.2}x vs PR 1, {:.2}x vs PR 4, prune rate {:.1}%, cache hit rate {:.1}%",
-        eight.1 / eight.4,
-        eight.2 / eight.4,
+        "multi-capacity at 8 threads: {multi_eight_ms:.2} ms, prune rate {:.1}%, cache hit rate {:.1}%",
         stats.prune_rate() * 100.0,
         stats.hit_rate() * 100.0
     );
-    let large_one = large_rows.iter().find(|(t, ..)| *t == 1).unwrap();
+    let (_, large_one_ms) = large_rows.iter().find(|(t, _)| *t == 1).unwrap();
     eprintln!(
-        "large-campaign ({} evaluations) at 1 thread: {:.2}x vs PR 4, {:.2}x vs PR 5 scalar kernels, {:.0} evaluations/s, prune rate {:.1}%",
+        "large-campaign ({} evaluations) at 1 thread: {large_one_ms:.2} ms, {:.0} evaluations/s, prune rate {:.1}%",
         large_reference.evaluations.len(),
-        large_one.1 / large_one.3,
-        large_one.2 / large_one.3,
-        evaluations_per_sec(large_reference.evaluations.len(), large_one.3),
+        evaluations_per_sec(large_reference.evaluations.len(), *large_one_ms),
         large_stats.prune_rate() * 100.0
     );
     let campaign_eight = study_rows.iter().find(|(w, ..)| *w == 8).unwrap();
@@ -1037,9 +1003,7 @@ fn main() {
     // that only an engine regression can trip it).
     let best_evals_per_sec = large_rows
         .iter()
-        .map(|(_, _, _, current_ms)| {
-            evaluations_per_sec(large_reference.evaluations.len(), *current_ms)
-        })
+        .map(|(_, current_ms)| evaluations_per_sec(large_reference.evaluations.len(), *current_ms))
         .fold(0.0f64, f64::max);
     assert!(
         best_evals_per_sec >= EVALS_PER_SEC_FLOOR,

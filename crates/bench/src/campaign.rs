@@ -177,7 +177,7 @@ pub fn summary_line(study: &StudyConfig, result: &StudyResult) -> String {
 mod tests {
     use super::*;
     use nvmexplorer_core::config::{CellSelection, TrafficSpec};
-    use nvmexplorer_core::sweep::run_study_with_threads;
+    use nvmexplorer_core::stream::{NullSink, StudyExecutor};
 
     fn small_study() -> StudyConfig {
         StudyConfig {
@@ -201,7 +201,9 @@ mod tests {
     #[test]
     fn results_csv_is_a_pure_function_of_the_result() {
         let study = small_study();
-        let result = run_study_with_threads(&study, 2).unwrap();
+        let result = StudyExecutor::with_threads(2)
+            .run(&study, &mut NullSink)
+            .unwrap();
         let a = results_csv(&study, &result).render();
         let b = results_csv(&study, &result).render();
         assert_eq!(a, b);
@@ -212,7 +214,9 @@ mod tests {
     #[test]
     fn summary_line_counts_the_result() {
         let study = small_study();
-        let result = run_study_with_threads(&study, 2).unwrap();
+        let result = StudyExecutor::with_threads(2)
+            .run(&study, &mut NullSink)
+            .unwrap();
         let line = summary_line(&study, &result);
         assert!(line.contains("campaign-unit"));
         assert!(line.contains(&format!("{} evaluations", result.evaluations.len())));

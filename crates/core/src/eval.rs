@@ -76,12 +76,12 @@ fn accesses_per_line(array: &ArrayCharacterization, access_bytes: u64) -> f64 {
 }
 
 /// Every traffic-dependent field of an [`Evaluation`], computed in one
-/// place. This is *the* evaluation float expression: all scalar entry
-/// points ([`evaluate`], [`evaluate_shared`], [`evaluate_shared_traffic`])
-/// route through it, so the expression can no longer drift between copies,
-/// and the hoisted paths ([`EvalKernel::apply`],
-/// [`EvalKernel::apply_batch`]) reproduce it term for term (proptested in
-/// `tests/batch_eval_equivalence.rs`).
+/// place. This is *the* evaluation float expression: both scalar entry
+/// points route through it — [`evaluate`] (what the
+/// `sweep::oracle` calls per pair) and
+/// [`evaluate_shared`] — and the hoisted paths the engine runs
+/// ([`EvalKernel::apply`], [`EvalKernel::apply_batch`]) reproduce it term
+/// for term (proptested in `tests/batch_eval_equivalence.rs`).
 struct EvalTerms {
     reads: f64,
     writes: f64,
@@ -149,32 +149,18 @@ impl EvalTerms {
 /// Evaluates `array` under `traffic` with the analytical model.
 ///
 /// Convenience wrapper over [`evaluate_shared`] that deep-copies the array
-/// record once. Hot paths evaluating one array against many patterns (the
-/// sweep engine) should wrap the array in an [`Arc`] and call
-/// [`evaluate_shared`] so each evaluation clones a pointer instead.
+/// record once. Hot paths evaluating one array against many patterns should
+/// build an [`EvalKernel`], as the sweep engine does.
 pub fn evaluate(array: &ArrayCharacterization, traffic: &TrafficPattern) -> Evaluation {
     evaluate_shared(&Arc::new(array.clone()), traffic)
 }
 
 /// Evaluates a shared `array` under `traffic`; the returned [`Evaluation`]
 /// holds a clone of the array [`Arc`] and a freshly shared copy of the
-/// traffic pattern. Callers that already hold the pattern behind an
-/// [`Arc`] should use [`evaluate_shared_traffic`] and skip the copy.
+/// traffic pattern. Callers evaluating one array against many shared
+/// patterns should build an [`EvalKernel`] instead.
 pub fn evaluate_shared(array: &Arc<ArrayCharacterization>, traffic: &TrafficPattern) -> Evaluation {
     eval_terms(array, traffic).into_evaluation(Arc::clone(array), Arc::new(traffic.clone()))
-}
-
-/// [`evaluate_shared`] for a traffic pattern that is already shared: the
-/// per-array invariants are re-derived per call (unlike [`EvalKernel`]),
-/// but the returned [`Evaluation`] clones both [`Arc`]s instead of copying
-/// the pattern. This is the per-pair evaluation profile of the PR 2–4
-/// engine on today's data structures, kept for the
-/// [`run_study_pr4`](crate::sweep::run_study_pr4) reference path.
-pub fn evaluate_shared_traffic(
-    array: &Arc<ArrayCharacterization>,
-    traffic: &Arc<TrafficPattern>,
-) -> Evaluation {
-    eval_terms(array, traffic).into_evaluation(Arc::clone(array), Arc::clone(traffic))
 }
 
 /// A precomputed evaluation kernel for one array: every traffic-independent

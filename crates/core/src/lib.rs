@@ -10,10 +10,12 @@
 //!
 //! 1. [`config::StudyConfig`] — JSON-loadable cross-stack study spec (with
 //!    a per-study [`config::OutputSpec`] naming where results stream),
-//! 2. [`sweep::run_study`] — expand + characterize + evaluate (batch), or
-//!    [`stream::StudyExecutor`] — the same engine pushing a deterministic
-//!    [`stream::StudyEvent`] stream to [`stream::ResultSink`]s while it
-//!    runs,
+//! 2. [`stream::StudyExecutor`] — the one study entry point: expand +
+//!    characterize + evaluate through the [`sweep`] engine, pushing a
+//!    deterministic [`stream::StudyEvent`] stream to
+//!    [`stream::ResultSink`]s while it runs (a [`stream::NullSink`] gives a
+//!    plain batch run); results are byte-identical to the serial
+//!    `sweep::oracle` the equivalence tests check against,
 //! 3. [`scheduler::StudyScheduler`] — shard a queue of studies across
 //!    concurrent lanes over one warm subarray cache,
 //! 4. [`wire`] — the versioned JSONL wire protocol carrying the event
@@ -34,7 +36,7 @@
 //! ```
 //! use nvmexplorer_core::config::{StudyConfig, TrafficSpec};
 //! use nvmexplorer_core::explore::{Objective, ResultSet};
-//! use nvmexplorer_core::sweep::run_study;
+//! use nvmexplorer_core::stream::{NullSink, StudyExecutor};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut study = StudyConfig {
@@ -52,7 +54,7 @@
 //!     store: Default::default(),
 //! };
 //! study.cells.technologies = Some(vec![nvmx_celldb::TechnologyClass::Stt]);
-//! let result = run_study(&study)?;
+//! let result = StudyExecutor::new().run(&study, &mut NullSink)?;
 //! let set = ResultSet::new(result.evaluations).feasible();
 //! let best = set.best(Objective::TotalPower).expect("some design survives");
 //! assert!(best.is_feasible());
@@ -95,7 +97,7 @@ pub use service::{
 pub use stream::{
     MultiSink, NullSink, ResultSink, StudyEvent, StudyExecutor, StudyResultBuilder, StudyStats,
 };
-pub use sweep::{run_study, StudyResult};
+pub use sweep::StudyResult;
 pub use wire::{
     LeaseFrame, OwnedStudyEvent, RequestFrame, ResponseFrame, SessionBrief, Shard, SlotMerger,
     StreamReplayer, WireError, WireFrame, WireSink, WorkerFrame, WIRE_MIN_VERSION,
@@ -123,7 +125,7 @@ mod tests {
         study.cells.technologies = Some(vec![nvmx_celldb::TechnologyClass::Pcm]);
         study.cells.sram_baseline = false;
         study.cells.reference_rram = false;
-        let result = run_study(&study).unwrap();
+        let result = StudyExecutor::new().run(&study, &mut NullSink).unwrap();
         assert_eq!(result.arrays.len(), 2);
         let set = ResultSet::new(result.evaluations);
         assert!(set.best(Objective::TotalPower).is_some());

@@ -18,7 +18,7 @@
 //! on scheduling, since concurrent lanes flush into the same counters.
 
 use crate::config::StudyConfig;
-use crate::stream::{NullSink, ResultSink, StudyExecutor};
+use crate::stream::{ResultSink, StudyExecutor};
 use crate::sweep::{StudyError, StudyResult};
 use nvmx_nvsim::{CacheStats, IncumbentStore, SubarrayCache};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -67,7 +67,8 @@ where
 /// fault-study trial fan-out).
 ///
 /// `drain` runs on the calling thread. An `Err` from `drain` stops
-/// delivery (in-flight tasks still complete) and is returned; the
+/// delivery and parks the claim counter, so lanes start no further tasks
+/// (tasks already in flight still complete); the error is returned. The
 /// completed outcomes are returned otherwise, in task order.
 ///
 /// # Errors
@@ -109,6 +110,9 @@ where
             };
             if let Err(e) = drain(index, outcome) {
                 drain_err = Some(e);
+                // Park the claim counter past the end so lanes stop picking
+                // up tasks whose outcomes nobody will read.
+                next.store(tasks.len(), Ordering::Relaxed);
                 return;
             }
         }
@@ -145,7 +149,7 @@ impl StudyOutcome {
     }
 }
 
-/// Everything a [`StudyScheduler::run_queue_with`] call produced.
+/// Everything a [`StudyScheduler::run_queue`] call produced.
 #[derive(Debug)]
 pub struct SchedulerReport {
     /// Per-study outcomes, in queue order.
@@ -175,6 +179,7 @@ impl SchedulerReport {
 /// ```
 /// use nvmexplorer_core::config::{StudyConfig, TrafficSpec};
 /// use nvmexplorer_core::scheduler::StudyScheduler;
+/// use nvmexplorer_core::stream::NullSink;
 /// use nvmx_nvsim::SubarrayCache;
 ///
 /// let make = |name: &str| {
@@ -196,7 +201,7 @@ impl SchedulerReport {
 /// // One lane: `b` runs strictly after `a`, so it reuses `a`'s physics.
 /// let report = StudyScheduler::with_workers(2)
 ///     .lanes(1)
-///     .run_queue_silent(&[make("a"), make("b")], &cache);
+///     .run_queue(&[make("a"), make("b")], &cache, None, |_, _| Box::new(NullSink));
 /// assert!(report.all_succeeded());
 /// assert!(report.outcomes[1].cache_hit_rate() > 0.9);
 /// ```
@@ -242,7 +247,7 @@ impl StudyScheduler {
     }
 
     /// The `(active lanes, worker threads per lane)` plan for a queue of
-    /// `studies` — the single source of truth [`Self::run_queue_with`]
+    /// `studies` — the single source of truth [`Self::run_queue`]
     /// executes: lanes never exceed the queue length, and the thread
     /// budget is split across the lanes that actually run.
     pub fn plan_for(&self, studies: usize) -> (usize, usize) {
@@ -258,51 +263,30 @@ impl StudyScheduler {
         self.plan_for(usize::MAX).1
     }
 
-    /// Runs every queued study, building one sink per study with
-    /// `make_sink` (called on the lane thread, receiving the queue index
-    /// and the config — return a [`NullSink`] boxed if a study needs no
-    /// output).
+    /// Runs every queued study through `cache`, building one sink per
+    /// study with `make_sink` (called on the lane thread, receiving the
+    /// queue index and the config — return a boxed
+    /// [`NullSink`](crate::stream::NullSink) if a study needs no output).
     ///
-    /// Outcomes come back in queue order. A failed study (bad config, sink
-    /// error) never blocks the rest of the queue.
-    pub fn run_queue_with<F>(
-        &self,
-        queue: &[StudyConfig],
-        cache: &SubarrayCache,
-        make_sink: F,
-    ) -> SchedulerReport
-    where
-        F: Fn(usize, &StudyConfig) -> Box<dyn ResultSink> + Sync,
-    {
-        self.run_queue_impl(queue, cache, None, make_sink)
-    }
-
-    /// [`Self::run_queue_with`] with cross-study incumbent seeding: every
-    /// lane shares `seeds`, so a study whose design points overlap an
-    /// earlier (or concurrently finished) study's starts its
-    /// branch-and-bound scans from the recorded winners. Results are
-    /// byte-identical to the unseeded queue — seeding only tightens score
-    /// bounds — but warm studies prune far more candidates; compare the
-    /// per-outcome [`StudyOutcome::cache`] prune counts.
+    /// Back `cache` with the persistent characterization store
+    /// ([`SubarrayCache::with_store`]) and the queue pays characterization
+    /// cost at most once per fingerprint, with any later run over the same
+    /// directory starting warm; the L2 traffic shows up in the report's
+    /// `l2_*` cache counters.
     ///
-    /// With more than one lane, *which* studies run warm depends on lane
-    /// interleaving (a study can finish before or after its twin starts).
-    /// The results never change; only the measured prune rate does. Use
-    /// one lane when the warm/cold split itself must be deterministic.
-    pub fn run_queue_with_seeds<F>(
-        &self,
-        queue: &[StudyConfig],
-        cache: &SubarrayCache,
-        seeds: &IncumbentStore,
-        make_sink: F,
-    ) -> SchedulerReport
-    where
-        F: Fn(usize, &StudyConfig) -> Box<dyn ResultSink> + Sync,
-    {
-        self.run_queue_impl(queue, cache, Some(seeds), make_sink)
-    }
-
-    fn run_queue_impl<F>(
+    /// With `seeds`, every lane shares one [`IncumbentStore`], so a study
+    /// whose design points overlap an earlier (or concurrently finished)
+    /// study's starts its branch-and-bound scans from the recorded
+    /// winners; compare the per-outcome [`StudyOutcome::cache`] prune
+    /// counts. With more than one lane, *which* studies run warm depends on
+    /// lane interleaving; use one lane when the warm/cold split itself must
+    /// be deterministic.
+    ///
+    /// Neither the store nor the seeds change a result: outcomes are
+    /// byte-identical to standalone runs and come back in queue order. A
+    /// failed study (bad config, sink error) never blocks the rest of the
+    /// queue.
+    pub fn run_queue<F>(
         &self,
         queue: &[StudyConfig],
         cache: &SubarrayCache,
@@ -333,58 +317,25 @@ impl StudyScheduler {
             cache: cache.stats(),
         }
     }
-
-    /// [`Self::run_queue_with`] over a queue-owned cache backed by the
-    /// persistent characterization store at `store_dir`
-    /// (`nvmx_nvsim::store`): every lane shares one store-backed cache, so
-    /// the queue pays characterization cost at most once per fingerprint —
-    /// and any later run over the same directory (this process or another)
-    /// starts warm. Results are byte-identical to a storeless queue; the
-    /// L2 traffic shows up in the report's `l2_*` cache counters.
-    ///
-    /// # Errors
-    ///
-    /// When the store directory cannot be created.
-    pub fn run_queue_with_store<F>(
-        &self,
-        queue: &[StudyConfig],
-        store_dir: impl Into<std::path::PathBuf>,
-        make_sink: F,
-    ) -> std::io::Result<SchedulerReport>
-    where
-        F: Fn(usize, &StudyConfig) -> Box<dyn ResultSink> + Sync,
-    {
-        let cache = SubarrayCache::with_store(store_dir)?;
-        Ok(self.run_queue_impl(queue, &cache, None, make_sink))
-    }
-
-    /// [`Self::run_queue_with`] discarding all events — batch semantics
-    /// over a shared cache.
-    pub fn run_queue_silent(
-        &self,
-        queue: &[StudyConfig],
-        cache: &SubarrayCache,
-    ) -> SchedulerReport {
-        self.run_queue_with(queue, cache, |_, _| Box::new(NullSink))
-    }
-
-    /// [`Self::run_queue_with_seeds`] discarding all events.
-    pub fn run_queue_seeded(
-        &self,
-        queue: &[StudyConfig],
-        cache: &SubarrayCache,
-        seeds: &IncumbentStore,
-    ) -> SchedulerReport {
-        self.run_queue_with_seeds(queue, cache, seeds, |_, _| Box::new(NullSink))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{ArraySettings, CellSelection, StudyConfig, TrafficSpec};
-    use crate::sweep::run_study_with_threads;
+    use crate::stream::NullSink;
     use nvmx_celldb::TechnologyClass;
+    use std::sync::atomic::AtomicBool;
+
+    fn silent(_: usize, _: &StudyConfig) -> Box<dyn ResultSink> {
+        Box::new(NullSink)
+    }
+
+    fn standalone_run(study: &StudyConfig) -> StudyResult {
+        StudyExecutor::with_threads(2)
+            .run(study, &mut NullSink)
+            .unwrap()
+    }
 
     fn study(name: &str, capacity_mib: u64) -> StudyConfig {
         StudyConfig {
@@ -414,13 +365,13 @@ mod tests {
         let cache = SubarrayCache::new();
         let report = StudyScheduler::with_workers(4)
             .lanes(2)
-            .run_queue_silent(&queue, &cache);
+            .run_queue(&queue, &cache, None, silent);
         assert!(report.all_succeeded());
         assert_eq!(report.outcomes.len(), 3);
         for (i, outcome) in report.outcomes.iter().enumerate() {
             assert_eq!(outcome.index, i);
             assert_eq!(outcome.name, queue[i].name);
-            let standalone = run_study_with_threads(&queue[i], 2).unwrap();
+            let standalone = standalone_run(&queue[i]);
             let scheduled = outcome.result.as_ref().unwrap();
             assert_eq!(scheduled.arrays, standalone.arrays);
             assert_eq!(scheduled.evaluations, standalone.evaluations);
@@ -436,7 +387,7 @@ mod tests {
         // `cold` and must hit on every grid geometry.
         let report = StudyScheduler::with_workers(2)
             .lanes(1)
-            .run_queue_silent(&queue, &cache);
+            .run_queue(&queue, &cache, None, silent);
         assert!(report.all_succeeded());
         assert!(report.outcomes[0].cache.misses > 0);
         assert_eq!(
@@ -454,9 +405,12 @@ mod tests {
         let queue = vec![study("s0", 2), study("s1", 4)];
         let sched = StudyScheduler::with_workers(2).lanes(1);
 
-        let cold = sched
-            .run_queue_with_store(&queue, &dir, |_, _| Box::new(crate::stream::NullSink))
-            .unwrap();
+        let cold = sched.run_queue(
+            &queue,
+            &SubarrayCache::with_store(&dir).unwrap(),
+            None,
+            silent,
+        );
         assert!(cold.all_succeeded());
         assert!(cold.cache.l2_misses > 0, "cold queue found slabs on disk");
         assert_eq!(cold.cache.l2_hits, 0);
@@ -464,15 +418,18 @@ mod tests {
         // A second scheduler over the same directory models a later
         // process: every slab loads from the store, and the results stay
         // byte-identical to standalone storeless runs.
-        let warm = sched
-            .run_queue_with_store(&queue, &dir, |_, _| Box::new(crate::stream::NullSink))
-            .unwrap();
+        let warm = sched.run_queue(
+            &queue,
+            &SubarrayCache::with_store(&dir).unwrap(),
+            None,
+            silent,
+        );
         assert!(warm.all_succeeded());
         assert!(warm.cache.l2_hits > 0, "warm queue re-characterized");
         assert_eq!(warm.cache.l2_misses, 0);
         assert_eq!(warm.cache.l2_rejects, 0);
         for (outcome, config) in warm.outcomes.iter().zip(&queue) {
-            let standalone = run_study_with_threads(config, 2).unwrap();
+            let standalone = standalone_run(config);
             let scheduled = outcome.result.as_ref().unwrap();
             assert_eq!(scheduled.arrays, standalone.arrays);
             assert_eq!(scheduled.evaluations, standalone.evaluations);
@@ -493,7 +450,7 @@ mod tests {
         };
         let queue = vec![bad, study("good", 2)];
         let cache = SubarrayCache::new();
-        let report = StudyScheduler::with_workers(2).run_queue_silent(&queue, &cache);
+        let report = StudyScheduler::with_workers(2).run_queue(&queue, &cache, None, silent);
         assert!(!report.all_succeeded());
         assert!(matches!(
             report.outcomes[0].result,
@@ -510,5 +467,39 @@ mod tests {
         assert_eq!(sched.threads_per_lane(), 2);
         let one = StudyScheduler::with_workers(1).lanes(5);
         assert_eq!(one.threads_per_lane(), 1);
+    }
+
+    #[test]
+    fn a_failing_drain_stops_lanes_from_claiming_more_tasks() {
+        // One lane, 64 tasks. Task 0 completes at once; every later task
+        // waits until the drain has failed on task 0's outcome. Parking the
+        // claim counter must leave at most the one in-flight task behind.
+        let tasks: Vec<usize> = (0..64).collect();
+        let ran = AtomicUsize::new(0);
+        let drain_failed = AtomicBool::new(false);
+        let result = run_on_lanes_streaming(
+            &tasks,
+            1,
+            |index, _| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if index > 0 {
+                    while !drain_failed.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    // Give the drainer time to park the counter before this
+                    // lane looks for its next task.
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                }
+                index
+            },
+            |index, _| {
+                assert_eq!(index, 0, "delivery continued past the failure");
+                drain_failed.store(true, Ordering::Release);
+                Err(std::io::Error::other("sink closed"))
+            },
+        );
+        assert!(result.is_err());
+        let ran = ran.load(Ordering::Relaxed);
+        assert!(ran <= 2, "{ran} tasks ran after the drain failed");
     }
 }

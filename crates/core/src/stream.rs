@@ -4,15 +4,14 @@
 //!
 //! # Why streaming
 //!
-//! The batch entry points ([`run_study`](crate::sweep::run_study) and
-//! friends) materialize the full [`StudyResult`] before a caller can observe
-//! anything — fine for a 5-array quickstart, hopeless for a
+//! A batch run materializes the full [`StudyResult`] before a caller can
+//! observe anything — fine for a 5-array quickstart, hopeless for a
 //! multi-gigabyte sweep served from a queue. This module inverts that:
 //! every characterization and evaluation is pushed to a sink *as its slot
 //! completes*, so results can stream to disk (CSV/JSONL), drive progress
-//! UIs, or feed downstream consumers with bounded memory. The batch API
-//! still exists — it is now a thin wrapper that runs the executor with a
-//! [`NullSink`].
+//! UIs, or feed downstream consumers with bounded memory. Batch semantics
+//! are the executor run with a [`NullSink`], which skips the drain and
+//! only returns the assembled [`StudyResult`].
 //!
 //! # Determinism
 //!
@@ -23,8 +22,9 @@
 //! the stream for a given [`StudyConfig`](crate::config::StudyConfig) is
 //! identical at 1 thread and at 16 (proven by proptest in
 //! `tests/stream_equivalence.rs`), and the [`StudyResult`] assembled from
-//! the stream (see [`StudyResultBuilder`]) is byte-identical to the batch
-//! engine's return value.
+//! the stream (see [`StudyResultBuilder`]) is byte-identical to the
+//! executor's return value and to the serial
+//! `sweep::oracle`.
 //!
 //! The one non-deterministic corner is the *cache counters* inside
 //! [`StudyStats`]: racing workers that miss the same cache slot may both
@@ -509,9 +509,9 @@ impl ResultSink for StudyResultBuilder {
     }
 }
 
-/// Runs studies through the streaming engine, pushing [`StudyEvent`]s to a
-/// sink while returning the same deterministic [`StudyResult`] as the batch
-/// API.
+/// The study entry point: runs studies through the streaming engine,
+/// pushing [`StudyEvent`]s to a sink while returning the deterministic
+/// [`StudyResult`]. Pass a [`NullSink`] for a plain batch run.
 ///
 /// # Examples
 ///
@@ -555,8 +555,7 @@ impl Default for StudyExecutor<'_> {
 }
 
 impl<'c> StudyExecutor<'c> {
-    /// An executor with a worker per available CPU (capped at 16), like
-    /// [`run_study`](crate::sweep::run_study).
+    /// An executor with a worker per available CPU (capped at 16).
     pub fn new() -> Self {
         Self::with_threads(crate::sweep::default_workers())
     }
@@ -614,7 +613,9 @@ impl<'c> StudyExecutor<'c> {
     }
 
     /// Runs one study, streaming events to `sink` and returning the
-    /// assembled [`StudyResult`] (byte-identical to the batch API).
+    /// assembled [`StudyResult`] (byte-identical to the
+    /// `sweep::oracle` at any thread count, cache state,
+    /// or seed state).
     ///
     /// # Errors
     ///
@@ -635,12 +636,7 @@ impl<'c> StudyExecutor<'c> {
                 &private
             }
         };
-        match self.seeds {
-            Some(seeds) => {
-                crate::sweep::run_streaming_seeded(study, self.threads, cache, seeds, sink)
-            }
-            None => crate::sweep::run_streaming_with_cache(study, self.threads, cache, sink),
-        }
+        crate::sweep::run_study_impl(study, self.threads, cache, self.seeds, sink)
     }
 }
 

@@ -2,9 +2,13 @@
 //! fans them out lock-free across worker threads, and evaluates every array
 //! against every traffic pattern in parallel.
 //!
+//! The engine has one entry point,
+//! [`StudyExecutor`](crate::stream::StudyExecutor), and one test
+//! `oracle` that every equivalence proof compares it against.
+//!
 //! # Engine design
 //!
-//! The hot path is organized around four ideas:
+//! The hot path is organized around five ideas:
 //!
 //! 1. **Shared DSE across targets, with branch-and-bound pruning.** One
 //!    job per `(cell, capacity, bits_per_cell)` — not per target. Each job
@@ -14,16 +18,14 @@
 //!    bank metrics in place (only winners are materialized into full
 //!    records) — skipping characterization entirely for candidates whose
 //!    provably-sound score bounds (`nvmx_nvsim::bounds`) cannot beat any
-//!    incumbent. An N-target study therefore does ~1/N of the subarray
-//!    work the naive per-target expansion (kept in [`baseline`])
-//!    performs, and only a small fraction of that after pruning.
+//!    incumbent, optionally seeded from a prior study's winners
+//!    ([`IncumbentStore`]).
 //! 2. **Memoized subarray physics across jobs.** Subarray characterization
 //!    depends on `(cell, node, geometry, depth)` but **not** on capacity,
-//!    word width, or target, so a study-wide
-//!    [`SubarrayCache`] (sharded, read-mostly) computes
-//!    each unique geometry once; every additional capacity in the study
-//!    reuses most of the previous capacities' physics. Cached and uncached
-//!    runs ([`run_study_uncached`]) are bit-identical.
+//!    word width, or target, so a study-wide [`SubarrayCache`] (sharded,
+//!    read-mostly) computes each unique geometry once; every additional
+//!    capacity in the study reuses most of the previous capacities'
+//!    physics.
 //! 3. **Lock-free fan-out.** Jobs live in an immutable pre-expanded slice;
 //!    workers claim indices with a single shared atomic counter and write
 //!    results into per-job slots. No queue mutex, no result-vector mutex,
@@ -32,42 +34,36 @@
 //!    completion order. Jobs borrow the resolved [`CellDefinition`]s
 //!    instead of cloning them.
 //! 4. **Batched structure-of-arrays evaluation.** The resolved traffic
-//!    set is transposed once into a columnar
-//!    [`TrafficGrid`] and each array is compiled once into an
-//!    [`EvalKernel`]; workers then claim whole arrays and one
-//!    [`EvalKernel::apply_batch_with`] computes every traffic lane in a
-//!    single pass over contiguous lanes — with the per-word-width access
-//!    rates ([`RateLanes`]) derived once per study and shared across
-//!    kernels. A claim fills its `traffic.len()` consecutive slots of the
-//!    flattened `arrays × traffic` index space, so slot (and stream)
-//!    order is identical to the scalar per-pair path, which is kept as
-//!    the PR-5 reference ([`run_study_pr5`]). Each [`Evaluation`] holds
+//!    set is transposed once into a columnar [`TrafficGrid`] and each
+//!    array is compiled once into an [`EvalKernel`]; workers then claim
+//!    whole arrays and one [`EvalKernel::apply_batch_with`] computes every
+//!    traffic lane in a single pass over contiguous lanes — with the
+//!    per-word-width access rates ([`RateLanes`]) derived once per study
+//!    and shared across kernels. A claim fills the array's `traffic.len()`
+//!    consecutive evaluations, so evaluation (and stream) order is the
+//!    serial `arrays × traffic` double loop. Each [`Evaluation`] holds
 //!    `Arc<ArrayCharacterization>` + `Arc<TrafficPattern>`, so the
 //!    fan-out applies kernels and clones pointers, never records.
 //! 5. **Streaming by slot order.** While workers fill slots, the calling
 //!    thread walks them in index order and pushes each completed
-//!    characterization/evaluation to a
-//!    [`ResultSink`] — results can leave the
-//!    process while the sweep is still running, and the event order is
-//!    deterministic by the same argument as the result order. The batch
-//!    entry points below are the streaming engine with a
-//!    [`NullSink`] in place of live output.
+//!    characterization/evaluation to a [`ResultSink`] — results can leave
+//!    the process while the sweep is still running, and the event order is
+//!    deterministic by the same argument as the result order. A passive
+//!    sink ([`NullSink`](crate::stream::NullSink)) skips the drain, which
+//!    gives batch semantics.
 //!
-//! Jobs and targets are expanded in the legacy report order (cell name,
-//! capacity, programming depth, then target label), so `arrays` and
-//! `evaluations` in [`StudyResult`] are byte-identical to the historical
-//! mutex-queue + sort engine — [`baseline`] exists to prove exactly that
-//! in tests and benches. `skipped` carries the same entries but in
-//! deterministic job order; the old engine recorded skips in worker
-//! completion order, which was never deterministic to begin with.
+//! Jobs and targets are expanded in report order (cell name, capacity,
+//! programming depth, then target label), so `arrays`, `evaluations`, and
+//! `skipped` in [`StudyResult`] are byte-identical to `oracle::run_study`
+//! — a serial, uncached, exhaustive scan with scalar evaluation.
 
 use crate::config::{StudyConfig, UnknownNameError};
-use crate::eval::{evaluate_shared_traffic, EvalKernel, Evaluation, RateLanes};
-use crate::stream::{NullSink, ResultSink, StudyEvent, StudyStats};
+use crate::eval::{EvalKernel, Evaluation, RateLanes};
+use crate::stream::{ResultSink, StudyEvent, StudyStats};
 use nvmx_celldb::CellDefinition;
 use nvmx_nvsim::{
-    characterize_targets, characterize_targets_cached, ArrayCharacterization, ArrayConfig,
-    CharacterizationError, IncumbentStore, OptimizationTarget, SubarrayCache,
+    ArrayCharacterization, ArrayConfig, CharacterizationError, IncumbentStore, OptimizationTarget,
+    SubarrayCache,
 };
 use nvmx_workloads::TrafficGrid;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -149,8 +145,8 @@ struct Job<'a> {
 
 /// Expands the study into shared-DSE jobs, in report order (cell name,
 /// capacity, programming depth). Combined with the label-sorted target
-/// list, slot order equals the legacy sorted output order, so no
-/// completion-order sort is ever needed.
+/// list, slot order equals report order, so no completion-order sort is
+/// ever needed.
 fn expand_jobs<'a>(
     study: &StudyConfig,
     cells: &'a [CellDefinition],
@@ -186,23 +182,8 @@ fn expand_jobs<'a>(
 }
 
 /// The per-job result slot: every target's winning design, or the error
-/// (reported once per target for parity with the per-target engine).
+/// (reported once per target).
 type JobOutcome = Result<Vec<ArrayCharacterization>, (String, CharacterizationError)>;
-
-/// Characterization jobs are coarse (one job is a full DSE pass), so
-/// workers claim them one at a time; evaluations are tiny, so workers
-/// claim them in chunks to keep the shared counter off the critical path.
-///
-/// The chunk scales with the product size: at campaign scale (tens of
-/// thousands of kernel applications, each tens of nanoseconds) a fixed
-/// small chunk would put the shared `fetch_add` back on the critical path,
-/// while a tiny study must not hand one worker the whole product. Aim for
-/// several chunks per worker, floored at 64 pairs and capped at 4096.
-/// Chunking only changes who computes a slot, never what lands in it, so
-/// results are identical for any chunk size.
-fn eval_chunk(pairs: usize, workers: usize) -> usize {
-    (pairs / (workers * 8).max(1)).clamp(64, 4096)
-}
 
 /// Caps the worker count at the request, the number of claimable items,
 /// and the machine's available parallelism — extra workers beyond any of
@@ -214,40 +195,8 @@ fn clamp_workers(threads: usize, items: usize) -> usize {
     threads.clamp(1, 32).min(items.max(1)).min(cores)
 }
 
-/// Which design-space pass the characterization workers run. The variants
-/// are observationally identical — every path returns bit-identical
-/// results — and exist so the cache can be turned off (regression proofs,
-/// benches) or replaced with the PR-1 materializing pass (benches only).
-#[derive(Clone, Copy)]
-enum DsePath<'c> {
-    /// Branch-and-bound pruned scan with subarray physics memoized in a
-    /// shared [`SubarrayCache`], optionally seeding each target's
-    /// incumbents from a prior study's recorded winners
-    /// ([`IncumbentStore`]); evaluations run batched over the
-    /// [`TrafficGrid`] lanes. The production path.
-    Cached {
-        cache: &'c SubarrayCache,
-        seeds: Option<&'c IncumbentStore>,
-    },
-    /// Pruned scan, every surviving geometry characterized from scratch;
-    /// batched evaluations.
-    Uncached,
-    /// The PR-5 reference pass: identical cached pruned scan, but with
-    /// per-pair scalar kernel applications instead of batched lanes.
-    /// Benches measure this PR's evaluation stage against it.
-    CachedScalarEval(&'c SubarrayCache),
-    /// The PR 2–4 reference pass: exhaustive (unpruned) cached scan that
-    /// materializes every candidate bank, with per-pair `evaluate_shared`
-    /// evaluations. Benches measure this PR against it.
-    CachedUnpruned(&'c SubarrayCache),
-    /// The PR-1 reference pass: packages every candidate before scoring
-    /// and deep-copies the array record into every evaluation.
-    Pr1Materialized,
-}
-
-/// Default worker count for every batch/streaming entry point that does
-/// not take an explicit thread budget: one per available CPU, capped
-/// at 16.
+/// Default worker count for executors and schedulers that do not take an
+/// explicit thread budget: one per available CPU, capped at 16.
 pub(crate) fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get().min(16))
 }
@@ -284,10 +233,17 @@ pub(crate) fn wait_filled<'s, T>(slot: &'s OnceLock<T>, poisoned: &AtomicBool) -
     }
 }
 
-fn run_study_impl(
+/// The engine behind [`StudyExecutor`](crate::stream::StudyExecutor):
+/// characterizes every design point through `cache` (seeding each
+/// branch-and-bound scan from `seeds` when present), evaluates every array
+/// against every traffic pattern, and pushes each event to `sink` in slot
+/// order. Results are byte-identical to `oracle::run_study` for any
+/// thread count, cache state, and seed state.
+pub(crate) fn run_study_impl(
     study: &StudyConfig,
     threads: usize,
-    path: DsePath<'_>,
+    cache: &SubarrayCache,
+    seeds: Option<&IncumbentStore>,
     sink: &mut dyn ResultSink,
 ) -> Result<StudyResult, StudyError> {
     let cells = study.cells.resolve();
@@ -298,7 +254,7 @@ fn run_study_impl(
     if traffic.is_empty() {
         return Err(StudyError::NoTraffic);
     }
-    // Report order: targets by label, matching the legacy sort key.
+    // Report order: targets by label.
     let mut targets = study.array.targets.clone();
     targets.sort_by_key(|target| target.label());
 
@@ -310,12 +266,7 @@ fn run_study_impl(
         targets: targets.len(),
         traffic: traffic.len(),
     })?;
-    let cache_before = match path {
-        DsePath::Cached { cache, .. }
-        | DsePath::CachedUnpruned(cache)
-        | DsePath::CachedScalarEval(cache) => Some((cache, cache.stats())),
-        _ => None,
-    };
+    let cache_before = cache.stats();
 
     let slots: Vec<OnceLock<JobOutcome>> = jobs.iter().map(|_| OnceLock::new()).collect();
     let next_job = AtomicUsize::new(0);
@@ -330,34 +281,13 @@ fn run_study_impl(
                 loop {
                     let index = next_job.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(index) else { break };
-                    let outcome = match path {
-                        DsePath::Cached { cache, seeds } => {
-                            nvmx_nvsim::dse::optimize_targets_seeded(
-                                job.cell,
-                                &job.config,
-                                &targets,
-                                Some(cache),
-                                seeds,
-                            )
-                        }
-                        DsePath::CachedScalarEval(cache) => {
-                            characterize_targets_cached(job.cell, &job.config, &targets, cache)
-                        }
-                        DsePath::Uncached => characterize_targets(job.cell, &job.config, &targets),
-                        DsePath::CachedUnpruned(cache) => {
-                            nvmx_nvsim::dse::optimize_targets_unpruned(
-                                job.cell,
-                                &job.config,
-                                &targets,
-                                Some(cache),
-                            )
-                        }
-                        DsePath::Pr1Materialized => nvmx_nvsim::dse::optimize_targets_materialized(
-                            job.cell,
-                            &job.config,
-                            &targets,
-                        ),
-                    }
+                    let outcome = nvmx_nvsim::dse::optimize_targets_seeded(
+                        job.cell,
+                        &job.config,
+                        &targets,
+                        Some(cache),
+                        seeds,
+                    )
                     .map_err(|e| (job.cell.name.clone(), e));
                     slots[index].set(outcome).expect("job slot written twice");
                 }
@@ -365,9 +295,8 @@ fn run_study_impl(
         }
         // Stream the slots in index order as the workers fill them: event
         // order is fixed by job order, never by worker interleaving.
-        // Passive sinks (the batch entry points) skip the drain entirely —
-        // the calling thread blocks in the scope join like the
-        // pre-streaming engine instead of spinning alongside the workers.
+        // Passive sinks skip the drain entirely — the calling thread blocks
+        // in the scope join instead of spinning alongside the workers.
         if sink.is_passive() {
             return;
         }
@@ -421,26 +350,15 @@ fn run_study_impl(
         match slot.into_inner().expect("all job slots filled") {
             Ok(designs) => arrays.extend(designs),
             Err((cell, error)) => {
-                // One skipped record per target: parity with the per-target
-                // engine, which failed each target's job individually.
+                // One skipped record per target: a design point fails under
+                // every target alike.
                 let reason = error.to_string();
                 skipped.extend(targets.iter().map(|_| (cell.clone(), reason.clone())));
             }
         }
     }
 
-    // The production path applies precomputed kernels batched over the
-    // traffic-grid lanes; the PR-5 reference applies the same kernels per
-    // pair, the PR 2–4 reference reproduces the per-pair `evaluate_shared`
-    // cost, and the PR-1 reference deep-copies the characterization record
-    // into every evaluation — so benches measure each engine as it shipped.
-    let eval_mode = match path {
-        DsePath::Cached { .. } | DsePath::Uncached => EvalMode::Batched,
-        DsePath::CachedScalarEval(_) => EvalMode::Kernels,
-        DsePath::CachedUnpruned(_) => EvalMode::SharedPerPair,
-        DsePath::Pr1Materialized => EvalMode::DeepCopy,
-    };
-    let evaluations = evaluate_all(&arrays, &traffic, threads, eval_mode, sink)?;
+    let evaluations = evaluate_all(&arrays, &traffic, threads, sink)?;
 
     // Study-wide winner per target: the feasible evaluation with the lowest
     // total power, first-in-stream-order on ties.
@@ -467,9 +385,7 @@ fn run_study_impl(
     // no-op without one). Best effort: the store only shapes future runs'
     // work, never this run's results, so publish failures are not study
     // failures.
-    if let Some((cache, _)) = cache_before {
-        let _ = cache.flush_store();
-    }
+    let _ = cache.flush_store();
 
     let stats = StudyStats {
         jobs: jobs.len(),
@@ -478,7 +394,7 @@ fn run_study_impl(
         arrays: arrays.len(),
         evaluations: evaluations.len(),
         skipped: skipped.len(),
-        cache: cache_before.map(|(cache, before)| cache.stats().since(before)),
+        cache: Some(cache.stats().since(cache_before)),
     };
     sink.on_event(&StudyEvent::StudyFinished {
         name: &study.name,
@@ -493,369 +409,62 @@ fn run_study_impl(
     })
 }
 
-/// Runs a full study: characterize every design point, evaluate against
-/// every traffic pattern.
-///
-/// Characterization fans out lock-free across `threads` workers (atomic
-/// index over a pre-expanded job slice, results into pre-allocated slots),
-/// with one shared design-space pass covering all optimization targets per
-/// `(cell, capacity, bits_per_cell)` point and a study-private
-/// [`SubarrayCache`] sharing subarray physics across the capacity axis. The
-/// evaluation product is then fanned out over the same pool. Output order
-/// is deterministic regardless of `threads`.
-///
-/// # Errors
-///
-/// Returns [`StudyError`] when the config resolves to no cells, no traffic,
-/// or references unknown model names.
-pub fn run_study_with_threads(
-    study: &StudyConfig,
-    threads: usize,
-) -> Result<StudyResult, StudyError> {
-    let cache = SubarrayCache::new();
-    run_study_impl(
-        study,
-        threads,
-        DsePath::Cached {
-            cache: &cache,
-            seeds: None,
-        },
-        &mut NullSink,
-    )
-}
-
-/// The streaming engine entry used by
-/// [`StudyExecutor`](crate::stream::StudyExecutor): identical to
-/// [`run_study_with_cache`] but pushing every event to `sink`.
-pub(crate) fn run_streaming_with_cache(
-    study: &StudyConfig,
-    threads: usize,
-    cache: &SubarrayCache,
-    sink: &mut dyn ResultSink,
-) -> Result<StudyResult, StudyError> {
-    run_study_impl(study, threads, DsePath::Cached { cache, seeds: None }, sink)
-}
-
-/// [`run_streaming_with_cache`] with cross-study incumbent seeding: each
-/// job's branch-and-bound scan starts from the winners a prior identical
-/// design point recorded into `seeds`, and records its own back. Results
-/// are byte-identical to the unseeded engine; only the prune rate changes.
-pub(crate) fn run_streaming_seeded(
-    study: &StudyConfig,
-    threads: usize,
-    cache: &SubarrayCache,
-    seeds: &IncumbentStore,
-    sink: &mut dyn ResultSink,
-) -> Result<StudyResult, StudyError> {
-    run_study_impl(
-        study,
-        threads,
-        DsePath::Cached {
-            cache,
-            seeds: Some(seeds),
-        },
-        sink,
-    )
-}
-
-/// [`run_study_with_threads`] with a caller-owned [`SubarrayCache`].
-///
-/// Use this to share one cache across several studies that sweep the same
-/// cells (e.g. a capacity-axis series, or repeated runs of one config), or
-/// to observe [`SubarrayCache::stats`] after a run. Results are
-/// bit-identical to every other engine path.
-///
-/// # Errors
-///
-/// Same conditions as [`run_study_with_threads`].
-pub fn run_study_with_cache(
-    study: &StudyConfig,
-    threads: usize,
-    cache: &SubarrayCache,
-) -> Result<StudyResult, StudyError> {
-    run_study_impl(
-        study,
-        threads,
-        DsePath::Cached { cache, seeds: None },
-        &mut NullSink,
-    )
-}
-
-/// [`run_study_with_cache`] with the cache backed by the persistent
-/// characterization store at `store_dir` (`nvmx_nvsim::store`): L1 slab
-/// misses consult the on-disk L2 before characterizing, and newly
-/// characterized slabs are published back when the study finishes. Results
-/// are byte-identical to every other engine path — a corrupt, version-
-/// skewed, or colliding store degrades to recomputation, never to wrong
-/// data.
-///
-/// # Errors
-///
-/// [`StudyError::Store`] when the store directory cannot be created, plus
-/// the same conditions as [`run_study_with_threads`].
-pub fn run_study_with_store(
-    study: &StudyConfig,
-    threads: usize,
-    store_dir: impl Into<std::path::PathBuf>,
-) -> Result<StudyResult, StudyError> {
-    let cache = SubarrayCache::with_store(store_dir).map_err(StudyError::Store)?;
-    run_study_with_cache(study, threads, &cache)
-}
-
-/// [`run_study_with_cache`] with cross-study incumbent seeding.
-///
-/// Each job's branch-and-bound scan starts from the final incumbents a
-/// prior *identical* design point (same cell, node, programming depth,
-/// capacity, and word width) recorded into `seeds`, and records its own
-/// winners back after a successful pass. Seeding only tightens the score
-/// bounds, so results are byte-identical to [`run_study_with_cache`] for
-/// any thread count (proven in `tests/prune_kernel_equivalence.rs`); warm
-/// studies simply prune more candidates — watch the delta with
-/// [`SubarrayCache::stats`] and [`IncumbentStore::stats`].
-///
-/// # Errors
-///
-/// Same conditions as [`run_study_with_threads`].
-pub fn run_study_seeded(
-    study: &StudyConfig,
-    threads: usize,
-    cache: &SubarrayCache,
-    seeds: &IncumbentStore,
-) -> Result<StudyResult, StudyError> {
-    run_study_impl(
-        study,
-        threads,
-        DsePath::Cached {
-            cache,
-            seeds: Some(seeds),
-        },
-        &mut NullSink,
-    )
-}
-
-/// [`run_study_with_threads`] with subarray memoization disabled — every
-/// job re-characterizes its geometries from scratch. Exists so tests and
-/// benches can prove cache-on/cache-off equivalence and measure the win.
-///
-/// # Errors
-///
-/// Same conditions as [`run_study_with_threads`].
-pub fn run_study_uncached(study: &StudyConfig, threads: usize) -> Result<StudyResult, StudyError> {
-    run_study_impl(study, threads, DsePath::Uncached, &mut NullSink)
-}
-
-/// The PR-1 engine: shared DSE and lock-free fan-out, but with the
-/// materializing per-candidate scoring pass and no subarray cache. Kept so
-/// `bench_sweep` measures this PR against the engine it replaced. Not part
-/// of the supported API.
-///
-/// # Errors
-///
-/// Same conditions as [`run_study_with_threads`].
-#[doc(hidden)]
-pub fn run_study_pr1(study: &StudyConfig, threads: usize) -> Result<StudyResult, StudyError> {
-    run_study_impl(study, threads, DsePath::Pr1Materialized, &mut NullSink)
-}
-
-/// The PR 2–4 engine: exhaustive (unpruned) cached scan materializing
-/// every candidate bank, with per-pair `evaluate_shared` evaluations —
-/// no branch-and-bound pruning, no precomputed kernels. Kept so tests can
-/// prove the pruned+kernel engine byte-identical and `bench_sweep` can
-/// measure this PR against the engine it replaced. Not part of the
-/// supported API.
-///
-/// # Errors
-///
-/// Same conditions as [`run_study_with_threads`].
-#[doc(hidden)]
-pub fn run_study_pr4(study: &StudyConfig, threads: usize) -> Result<StudyResult, StudyError> {
-    let cache = SubarrayCache::new();
-    run_study_impl(
-        study,
-        threads,
-        DsePath::CachedUnpruned(&cache),
-        &mut NullSink,
-    )
-}
-
-/// The PR-5 engine: identical cached branch-and-bound scan, but with
-/// per-pair scalar kernel applications instead of the batched traffic-grid
-/// path. Kept so tests can prove the batched engine byte-identical and
-/// `bench_sweep` can measure this PR's evaluation stage against the engine
-/// it replaced. Not part of the supported API.
-///
-/// # Errors
-///
-/// Same conditions as [`run_study_with_threads`].
-#[doc(hidden)]
-pub fn run_study_pr5(study: &StudyConfig, threads: usize) -> Result<StudyResult, StudyError> {
-    let cache = SubarrayCache::new();
-    run_study_impl(
-        study,
-        threads,
-        DsePath::CachedScalarEval(&cache),
-        &mut NullSink,
-    )
-}
-
-/// How the evaluation stage computes each `(array, traffic)` pair. All
-/// modes produce bit-identical [`Evaluation`]s (proven in
-/// `tests/prune_kernel_equivalence.rs` and
-/// `tests/batch_eval_equivalence.rs`); they differ only in how much
-/// per-pair work they repeat, so the reference engines keep their honest
-/// cost profiles in benches.
-#[derive(Clone, Copy)]
-enum EvalMode {
-    /// One [`EvalKernel`] per array plus one [`TrafficGrid`] per study;
-    /// workers claim whole arrays and each claim computes every traffic
-    /// lane in one [`EvalKernel::apply_batch_with`] streaming over the
-    /// columnar lanes, with the per-word-width access rates
-    /// ([`RateLanes`]) derived once and shared across kernels. The
-    /// production path.
-    Batched,
-    /// One [`EvalKernel`] per array, built once; per pair a thin
-    /// traffic-point application (the PR-5 profile).
-    Kernels,
-    /// [`evaluate_shared_traffic`] per pair: re-derives the per-array
-    /// invariants every time (the PR 2–4 profile on today's shared-traffic
-    /// types — strictly no slower than the engine as it shipped, so
-    /// speedups measured against it are conservative).
-    SharedPerPair,
-    /// [`crate::eval::evaluate`] per pair: additionally deep-copies the
-    /// array record into every evaluation (the PR-1 profile).
-    DeepCopy,
-}
-
 /// Evaluates the full `arrays × traffic` product across the worker pool,
 /// preserving the serial double-loop order and streaming each evaluation to
-/// `sink` in that order as its slot completes.
+/// `sink` in that order as its array's batch completes.
 ///
-/// Each array is wrapped in an [`Arc`] once and (in the production mode)
-/// compiled into an [`EvalKernel`]; the parallel stage then clones a
-/// pointer and applies the kernel per evaluation instead of deep-copying
-/// the record or re-deriving its invariants.
+/// The traffic set is transposed once into a [`TrafficGrid`], each array is
+/// compiled once into an [`EvalKernel`], and each distinct word width's
+/// access-rate lanes ([`RateLanes`]) are derived once and shared by every
+/// kernel with that word width. Workers claim whole arrays and publish the
+/// array's `traffic.len()` evaluations as one batch — one synchronized
+/// store per array instead of one per pair.
 fn evaluate_all(
     arrays: &[ArrayCharacterization],
     traffic: &[nvmx_workloads::TrafficPattern],
     threads: usize,
-    mode: EvalMode,
     sink: &mut dyn ResultSink,
 ) -> Result<Vec<Evaluation>, std::io::Error> {
-    let pairs = arrays.len() * traffic.len();
-    if pairs == 0 {
+    if arrays.is_empty() || traffic.is_empty() {
         return Ok(Vec::new());
     }
-    let shared: Vec<Arc<ArrayCharacterization>> = match mode {
-        EvalMode::Batched | EvalMode::Kernels | EvalMode::SharedPerPair => {
-            arrays.iter().map(|array| Arc::new(array.clone())).collect()
-        }
-        EvalMode::DeepCopy => Vec::new(),
-    };
-    let kernels: Vec<EvalKernel> = match mode {
-        EvalMode::Batched | EvalMode::Kernels => shared.iter().map(EvalKernel::new).collect(),
-        _ => Vec::new(),
-    };
-    // The Arc-based modes share the traffic patterns — an evaluation then
-    // costs two Arc clones instead of a string-owning deep copy.
-    let shared_traffic: Vec<Arc<nvmx_workloads::TrafficPattern>> = match mode {
-        EvalMode::Batched | EvalMode::Kernels | EvalMode::SharedPerPair => {
-            traffic.iter().map(|t| Arc::new(t.clone())).collect()
-        }
-        EvalMode::DeepCopy => Vec::new(),
-    };
-    // Batched mode transposes the traffic set into columnar lanes once per
-    // study, and derives each distinct word width's access-rate lanes once
-    // — shared by every kernel with that word width — instead of
-    // re-deriving the rates per (array, pattern) pair.
-    let grid = match mode {
-        EvalMode::Batched => Some(TrafficGrid::from_shared(shared_traffic.clone())),
-        _ => None,
-    };
+    let kernels: Vec<EvalKernel> = arrays
+        .iter()
+        .map(|array| EvalKernel::new(&Arc::new(array.clone())))
+        .collect();
+    let grid = TrafficGrid::from_shared(traffic.iter().map(|t| Arc::new(t.clone())).collect());
     let mut rate_sets: Vec<RateLanes> = Vec::new();
-    let mut kernel_rates: Vec<usize> = Vec::new();
-    if let Some(grid) = &grid {
-        for kernel in &kernels {
-            let slot = rate_sets
+    let kernel_rates: Vec<usize> = kernels
+        .iter()
+        .map(|kernel| {
+            rate_sets
                 .iter()
                 .position(|rates| rates.word_bits() == kernel.word_bits())
                 .unwrap_or_else(|| {
-                    rate_sets.push(RateLanes::new(grid, kernel.word_bits()));
+                    rate_sets.push(RateLanes::new(&grid, kernel.word_bits()));
                     rate_sets.len() - 1
-                });
-            kernel_rates.push(slot);
-        }
-    }
-    // Scalar modes fill one slot per (array, traffic) pair. Batched workers
-    // claim whole arrays and publish the array's `traffic.len()` evaluations
-    // as one batch — one synchronized store per array instead of one per
-    // pair — and the drain walks batches array-major with lanes in traffic
-    // order, so the evaluation (and therefore stream) order is identical to
-    // the scalar modes.
-    let slots: Vec<OnceLock<Evaluation>> = match mode {
-        EvalMode::Batched => Vec::new(),
-        _ => (0..pairs).map(|_| OnceLock::new()).collect(),
-    };
-    let batch_slots: Vec<OnceLock<Vec<Evaluation>>> = match mode {
-        EvalMode::Batched => (0..arrays.len()).map(|_| OnceLock::new()).collect(),
-        _ => Vec::new(),
-    };
-    let (claims, chunk) = match mode {
-        EvalMode::Batched => (arrays.len(), 1),
-        _ => {
-            let chunk = eval_chunk(pairs, clamp_workers(threads, pairs));
-            (pairs, chunk)
-        }
-    };
+                })
+        })
+        .collect();
+    let batch_slots: Vec<OnceLock<Vec<Evaluation>>> =
+        kernels.iter().map(|_| OnceLock::new()).collect();
     let next_claim = AtomicUsize::new(0);
     let poisoned = AtomicBool::new(false);
-    let workers = clamp_workers(threads, claims.div_ceil(chunk));
+    let workers = clamp_workers(threads, kernels.len());
     let mut sink_status: std::io::Result<()> = Ok(());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
                 let _flag = PanicFlag(&poisoned);
                 loop {
-                    let start = next_claim.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= claims {
+                    let index = next_claim.fetch_add(1, Ordering::Relaxed);
+                    let Some(kernel) = kernels.get(index) else {
                         break;
-                    }
-                    for index in start..(start + chunk).min(claims) {
-                        match mode {
-                            EvalMode::Batched => {
-                                let grid = grid.as_ref().expect("batched mode builds a grid");
-                                let batch = kernels[index]
-                                    .apply_batch_with(grid, &rate_sets[kernel_rates[index]]);
-                                batch_slots[index]
-                                    .set(batch)
-                                    .expect("evaluation batch written twice");
-                            }
-                            EvalMode::Kernels => {
-                                let evaluation = kernels[index / traffic.len()]
-                                    .apply(&shared_traffic[index % traffic.len()]);
-                                slots[index]
-                                    .set(evaluation)
-                                    .expect("evaluation slot written twice");
-                            }
-                            EvalMode::SharedPerPair => {
-                                let evaluation = evaluate_shared_traffic(
-                                    &shared[index / traffic.len()],
-                                    &shared_traffic[index % traffic.len()],
-                                );
-                                slots[index]
-                                    .set(evaluation)
-                                    .expect("evaluation slot written twice");
-                            }
-                            EvalMode::DeepCopy => {
-                                let evaluation = crate::eval::evaluate(
-                                    &arrays[index / traffic.len()],
-                                    &traffic[index % traffic.len()],
-                                );
-                                slots[index]
-                                    .set(evaluation)
-                                    .expect("evaluation slot written twice");
-                            }
-                        }
-                    }
+                    };
+                    let batch = kernel.apply_batch_with(&grid, &rate_sets[kernel_rates[index]]);
+                    batch_slots[index]
+                        .set(batch)
+                        .expect("evaluation batch written twice");
                 }
             });
         }
@@ -863,125 +472,62 @@ fn evaluate_all(
         if sink.is_passive() {
             return;
         }
-        match mode {
-            EvalMode::Batched => {
-                'drain: for (array_index, slot) in batch_slots.iter().enumerate() {
-                    let Some(batch) = wait_filled(slot, &poisoned) else {
-                        // A worker died; let the scope join and re-raise
-                        // its panic.
-                        break;
-                    };
-                    let base = array_index * traffic.len();
-                    for (lane, evaluation) in batch.iter().enumerate() {
-                        sink_status = sink.on_event(&StudyEvent::EvaluationProduced {
-                            index: base + lane,
-                            evaluation,
-                        });
-                        if sink_status.is_err() {
-                            // Park the claim counter past the end so workers
-                            // stop evaluating work nobody will read.
-                            next_claim.store(claims, Ordering::Relaxed);
-                            break 'drain;
-                        }
-                    }
-                }
-            }
-            _ => {
-                for (index, slot) in slots.iter().enumerate() {
-                    let Some(evaluation) = wait_filled(slot, &poisoned) else {
-                        // A worker died; let the scope join and re-raise
-                        // its panic.
-                        break;
-                    };
-                    sink_status =
-                        sink.on_event(&StudyEvent::EvaluationProduced { index, evaluation });
-                    if sink_status.is_err() {
-                        // Park the claim counter past the end so workers stop
-                        // evaluating work nobody will read.
-                        next_claim.store(claims, Ordering::Relaxed);
-                        break;
-                    }
+        'drain: for (array_index, slot) in batch_slots.iter().enumerate() {
+            let Some(batch) = wait_filled(slot, &poisoned) else {
+                // A worker died; let the scope join and re-raise its panic.
+                break;
+            };
+            let base = array_index * traffic.len();
+            for (lane, evaluation) in batch.iter().enumerate() {
+                sink_status = sink.on_event(&StudyEvent::EvaluationProduced {
+                    index: base + lane,
+                    evaluation,
+                });
+                if sink_status.is_err() {
+                    // Park the claim counter past the end so workers stop
+                    // evaluating work nobody will read.
+                    next_claim.store(kernels.len(), Ordering::Relaxed);
+                    break 'drain;
                 }
             }
         }
     });
     sink_status?;
-    Ok(match mode {
-        EvalMode::Batched => batch_slots
-            .into_iter()
-            .flat_map(|slot| slot.into_inner().expect("all evaluation batches filled"))
-            .collect(),
-        _ => slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("all evaluation slots filled"))
-            .collect(),
-    })
+    Ok(batch_slots
+        .into_iter()
+        .flat_map(|slot| slot.into_inner().expect("all evaluation batches filled"))
+        .collect())
 }
 
-/// Runs a study with a worker per available CPU (capped at 16).
+/// The test oracle every engine-equivalence proof compares against: a
+/// serial loop in report order over the uncached, exhaustive
+/// [`optimize_targets_unpruned`](nvmx_nvsim::dse::optimize_targets_unpruned)
+/// scan, with scalar [`evaluate`](crate::eval::evaluate) per pair.
 ///
-/// # Errors
-///
-/// See [`run_study_with_threads`].
-pub fn run_study(study: &StudyConfig) -> Result<StudyResult, StudyError> {
-    run_study_with_threads(study, default_workers())
-}
-
-/// The pre-overhaul reference engine: one job per `(cell, capacity,
-/// bits_per_cell, target)`, re-running the full DSE for every target, with
-/// a mutex-guarded queue and a completion-order sort.
-///
-/// Kept (on `std::sync` primitives) so tests can prove the shared-DSE
-/// engine produces byte-identical [`StudyResult`]s and benches can measure
-/// the speedup against a faithful baseline. Not part of the supported API.
+/// No pruning, no cache, no seeding, no threads, no kernels: everything the
+/// engine does to go fast is absent here, so an engine that matches the
+/// oracle byte for byte has changed nothing it reports. Public only so the
+/// integration tests and `bench_sweep` (separate crates) can reach it; not
+/// part of the supported API.
 #[doc(hidden)]
-pub mod baseline {
+pub mod oracle {
     use super::{StudyError, StudyResult};
     use crate::config::StudyConfig;
     use crate::eval::evaluate;
-    use nvmx_celldb::CellDefinition;
-    use nvmx_nvsim::{characterize, ArrayCharacterization, ArrayConfig, CharacterizationError};
-    use std::sync::Mutex;
+    use nvmx_nvsim::dse::optimize_targets_unpruned;
+    use nvmx_nvsim::ArrayConfig;
 
-    struct Job {
-        cell: CellDefinition,
-        config: ArrayConfig,
-    }
-
-    fn expand_jobs(study: &StudyConfig, cells: &[CellDefinition]) -> Vec<Job> {
-        let mut jobs = Vec::new();
-        for cell in cells {
-            for capacity in study.array.capacities() {
-                for &bits_per_cell in &study.array.bits_per_cell {
-                    for &target in &study.array.targets {
-                        jobs.push(Job {
-                            cell: cell.clone(),
-                            config: ArrayConfig {
-                                capacity,
-                                word_bits: study.array.word_bits,
-                                node: study.array.node_for(cell),
-                                bits_per_cell,
-                                target,
-                            },
-                        });
-                    }
-                }
-            }
-        }
-        jobs
-    }
-
-    /// Reference implementation of
-    /// [`run_study_with_threads`](super::run_study_with_threads).
+    /// Runs `study` serially: cells by name, then capacity, programming
+    /// depth, and target label — the engine's report order. A design point
+    /// that cannot be characterized is skipped once per target, in job
+    /// order.
     ///
     /// # Errors
     ///
-    /// Same conditions as the main engine.
-    pub fn run_study_with_threads(
-        study: &StudyConfig,
-        threads: usize,
-    ) -> Result<StudyResult, StudyError> {
-        let cells = study.cells.resolve();
+    /// Same resolution errors as the engine: [`StudyError::NoCells`],
+    /// [`StudyError::NoTraffic`], [`StudyError::UnknownName`].
+    pub fn run_study(study: &StudyConfig) -> Result<StudyResult, StudyError> {
+        let mut cells = study.cells.resolve();
         if cells.is_empty() {
             return Err(StudyError::NoCells);
         }
@@ -989,55 +535,38 @@ pub mod baseline {
         if traffic.is_empty() {
             return Err(StudyError::NoTraffic);
         }
-
-        let queue = Mutex::new(expand_jobs(study, &cells));
-        type Done = Vec<Result<ArrayCharacterization, (String, CharacterizationError)>>;
-        let done: Mutex<Done> = Mutex::new(Vec::new());
-
-        let workers = threads.clamp(1, 32);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let job = { queue.lock().expect("queue poisoned").pop() };
-                    let Some(job) = job else { break };
-                    let result = characterize(&job.cell, &job.config)
-                        .map_err(|e| (job.cell.name.clone(), e));
-                    done.lock().expect("results poisoned").push(result);
-                });
-            }
-        });
+        cells.sort_by(|a, b| a.name.cmp(&b.name));
+        let mut capacities = study.array.capacities();
+        capacities.sort_unstable();
+        let mut depths = study.array.bits_per_cell.clone();
+        depths.sort_unstable();
+        let mut targets = study.array.targets.clone();
+        targets.sort_by_key(|target| target.label());
 
         let mut arrays = Vec::new();
         let mut skipped = Vec::new();
-        for outcome in done.into_inner().expect("results poisoned") {
-            match outcome {
-                Ok(array) => arrays.push(array),
-                Err((cell, error)) => skipped.push((cell, error.to_string())),
+        for cell in &cells {
+            for &capacity in &capacities {
+                for &bits_per_cell in &depths {
+                    let config = ArrayConfig::new(capacity)
+                        .with_word_bits(study.array.word_bits)
+                        .with_node(study.array.node_for(cell))
+                        .with_bits_per_cell(bits_per_cell);
+                    match optimize_targets_unpruned(cell, &config, &targets) {
+                        Ok(designs) => arrays.extend(designs),
+                        Err(error) => skipped.extend(
+                            targets
+                                .iter()
+                                .map(|_| (cell.name.clone(), error.to_string())),
+                        ),
+                    }
+                }
             }
         }
-        // Deterministic output order regardless of worker interleaving.
-        arrays.sort_by(|a, b| {
-            (
-                a.cell_name.as_str(),
-                a.capacity,
-                a.bits_per_cell,
-                a.target.label(),
-            )
-                .cmp(&(
-                    b.cell_name.as_str(),
-                    b.capacity,
-                    b.bits_per_cell,
-                    b.target.label(),
-                ))
-        });
-
-        let mut evaluations = Vec::with_capacity(arrays.len() * traffic.len());
-        for array in &arrays {
-            for pattern in &traffic {
-                evaluations.push(evaluate(array, pattern));
-            }
-        }
-
+        let evaluations = arrays
+            .iter()
+            .flat_map(|array| traffic.iter().map(move |pattern| evaluate(array, pattern)))
+            .collect();
         Ok(StudyResult {
             name: study.name.clone(),
             arrays,
@@ -1051,6 +580,7 @@ pub mod baseline {
 mod tests {
     use super::*;
     use crate::config::{ArraySettings, CellSelection, Constraints, TrafficSpec};
+    use crate::stream::{NullSink, StudyExecutor};
     use nvmx_celldb::TechnologyClass;
     use nvmx_units::BitsPerCell;
 
@@ -1077,6 +607,10 @@ mod tests {
         }
     }
 
+    fn run_with_threads(study: &StudyConfig, threads: usize) -> Result<StudyResult, StudyError> {
+        StudyExecutor::with_threads(threads).run(study, &mut NullSink)
+    }
+
     fn multi_target_study() -> StudyConfig {
         let mut study = small_study();
         study.array.targets = vec![
@@ -1089,7 +623,7 @@ mod tests {
 
     #[test]
     fn study_produces_arrays_and_evaluations() {
-        let result = run_study_with_threads(&small_study(), 4).unwrap();
+        let result = run_with_threads(&small_study(), 4).unwrap();
         // 2 classes × 2 flavors + SRAM = 5 arrays, 1 traffic pattern each.
         assert_eq!(result.arrays.len(), 5);
         assert_eq!(result.evaluations.len(), 5);
@@ -1098,8 +632,8 @@ mod tests {
 
     #[test]
     fn output_order_is_deterministic_across_thread_counts() {
-        let one = run_study_with_threads(&small_study(), 1).unwrap();
-        let many = run_study_with_threads(&small_study(), 8).unwrap();
+        let one = run_with_threads(&small_study(), 1).unwrap();
+        let many = run_with_threads(&small_study(), 8).unwrap();
         let names = |r: &StudyResult| -> Vec<String> {
             r.arrays.iter().map(|a| a.cell_name.clone()).collect()
         };
@@ -1108,10 +642,10 @@ mod tests {
     }
 
     #[test]
-    fn multi_target_output_matches_baseline_engine_exactly() {
+    fn multi_target_output_matches_the_oracle_exactly() {
         let study = multi_target_study();
-        let shared = run_study_with_threads(&study, 4).unwrap();
-        let reference = baseline::run_study_with_threads(&study, 1).unwrap();
+        let shared = run_with_threads(&study, 4).unwrap();
+        let reference = oracle::run_study(&study).unwrap();
         assert_eq!(shared.arrays, reference.arrays);
         assert_eq!(shared.evaluations, reference.evaluations);
         assert_eq!(shared.skipped, reference.skipped);
@@ -1121,7 +655,7 @@ mod tests {
     fn unsupported_mlc_lands_in_skipped() {
         let mut study = small_study();
         study.array.bits_per_cell = vec![BitsPerCell::Mlc2];
-        let result = run_study_with_threads(&study, 2).unwrap();
+        let result = run_with_threads(&study, 2).unwrap();
         // SRAM cannot do MLC; the NVMs can.
         assert_eq!(result.skipped.len(), 1);
         assert!(result.skipped[0].0.contains("SRAM"));
@@ -1132,8 +666,8 @@ mod tests {
     fn multi_target_skip_is_reported_per_target() {
         let mut study = multi_target_study();
         study.array.bits_per_cell = vec![BitsPerCell::Mlc2];
-        let result = run_study_with_threads(&study, 4).unwrap();
-        // SRAM fails once per target, like the per-target engine reported.
+        let result = run_with_threads(&study, 4).unwrap();
+        // SRAM fails once per target, in target-label order.
         assert_eq!(result.skipped.len(), 3);
         assert!(result.skipped.iter().all(|(cell, _)| cell.contains("SRAM")));
         assert_eq!(result.arrays.len(), 4 * 3);
@@ -1151,7 +685,7 @@ mod tests {
             custom: vec![],
         };
         assert!(matches!(
-            run_study_with_threads(&study, 2),
+            run_with_threads(&study, 2),
             Err(StudyError::NoCells)
         ));
     }

@@ -1,17 +1,15 @@
 //! Proof obligations for the structure-of-arrays batched evaluation path:
 //!
 //! 1. Every scalar entry point agrees bit-for-bit: `evaluate`,
-//!    `evaluate_shared`, `evaluate_shared_traffic`, and `EvalKernel::apply`
-//!    all route through one shared expression (`eval_terms`), so deduping
+//!    `evaluate_shared`, and `EvalKernel::apply` all route through one
+//!    shared expression (`eval_terms`), so deduping
 //!    them must not have moved a single bit.
 //! 2. [`EvalKernel::apply_batch`] over a [`TrafficGrid`] is bit-identical
 //!    per field to per-pattern [`EvalKernel::apply`], over adversarial
 //!    grids: zero-traffic lanes, infinite-endurance SRAM, 1-lane and
 //!    64+-lane grids, and shared [`RateLanes`].
 
-use nvmexplorer_core::eval::{
-    evaluate, evaluate_shared, evaluate_shared_traffic, EvalKernel, Evaluation, RateLanes,
-};
+use nvmexplorer_core::eval::{evaluate, evaluate_shared, EvalKernel, Evaluation, RateLanes};
 use nvmx_celldb::{custom, survey, tentpole};
 use nvmx_nvsim::{characterize, ArrayConfig, OptimizationTarget};
 use nvmx_units::Capacity;
@@ -96,10 +94,8 @@ proptest! {
             let traffic = Arc::new(lane_pattern(0, read_mbps, write_mbps, abytes_pick, false));
             let reference = evaluate_shared(&array, &traffic);
             let owned = evaluate(&array, &traffic);
-            let shared_traffic = evaluate_shared_traffic(&array, &traffic);
             let from_kernel = EvalKernel::new(&array).apply(&traffic);
             assert_bit_identical(&owned, &reference, "evaluate");
-            assert_bit_identical(&shared_traffic, &reference, "evaluate_shared_traffic");
             assert_bit_identical(&from_kernel, &reference, "kernel apply");
         }
     }

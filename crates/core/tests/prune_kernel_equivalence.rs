@@ -2,16 +2,15 @@
 //!
 //! 1. [`EvalKernel`] applications are bit-identical to [`evaluate_shared`]
 //!    over random arrays × traffic points.
-//! 2. The full pruned+kernel engine ([`run_study_with_threads`]) returns a
-//!    [`StudyResult`] byte-identical to the PR 2–4 reference engine
-//!    ([`run_study_pr4`]: exhaustive scan, per-pair shared evaluation) at
-//!    1 and 16 threads.
+//! 2. The full engine ([`StudyExecutor`]: pruned, cached, batched kernel
+//!    evaluation) returns a [`StudyResult`] byte-identical to the serial
+//!    [`oracle`] (exhaustive uncached scan, scalar `evaluate` per pair) at
+//!    1 and 16 threads, cold and incumbent-seeded alike.
 
 use nvmexplorer_core::config::{ArraySettings, CellSelection, StudyConfig, TrafficSpec};
 use nvmexplorer_core::eval::{evaluate_shared, EvalKernel};
-use nvmexplorer_core::sweep::{
-    run_study_pr4, run_study_pr5, run_study_seeded, run_study_with_threads, StudyResult,
-};
+use nvmexplorer_core::stream::{NullSink, StudyExecutor};
+use nvmexplorer_core::sweep::{oracle, StudyResult};
 use nvmx_celldb::{survey, tentpole};
 use nvmx_nvsim::{characterize, ArrayConfig, IncumbentStore, OptimizationTarget, SubarrayCache};
 use nvmx_units::{BitsPerCell, Capacity};
@@ -102,54 +101,37 @@ fn stress_study() -> StudyConfig {
     }
 }
 
-/// The engine-level guarantee behind the perf claim: pruning plus kernels
-/// changes nothing the study reports, at single-threaded and heavily
-/// fanned-out execution alike.
+/// The engine-level guarantee behind the perf claim: pruning, caching, and
+/// batched kernels change nothing the study reports, at single-threaded
+/// and heavily fanned-out execution alike.
 #[test]
-fn pruned_kernel_engine_matches_pr4_reference_at_1_and_16_threads() {
+fn engine_matches_the_oracle_at_1_and_16_threads() {
     let study = stress_study();
-    let reference = run_study_pr4(&study, 1).expect("reference engine runs");
+    let reference = oracle::run_study(&study).expect("oracle runs");
     for threads in [1usize, 16] {
-        let current = run_study_with_threads(&study, threads).expect("engine runs");
+        let current = StudyExecutor::with_threads(threads)
+            .run(&study, &mut NullSink)
+            .expect("engine runs");
         assert_identical(&current, &reference, &format!("{threads} threads"));
     }
-    for threads in [1usize, 16] {
-        let pr4 = run_study_pr4(&study, threads).expect("reference engine runs");
-        assert_identical(&pr4, &reference, &format!("pr4 at {threads} threads"));
-    }
 }
 
-/// The batched-evaluation engine must match the PR-5 scalar-kernel engine
-/// byte-for-byte at single-threaded and fanned-out execution alike — the
-/// engine-level form of the `apply_batch` bit-identity proof.
+/// Incumbent seeding must be invisible in the results: recording and fully
+/// warm seeded runs all match the oracle at 1 and 16 threads. The first
+/// round records the seeds; the second runs entirely warm against them.
 #[test]
-fn batched_engine_matches_pr5_scalar_engine_at_1_and_16_threads() {
+fn seeded_engine_matches_the_oracle_at_1_and_16_threads() {
     let study = stress_study();
-    let reference = run_study_pr5(&study, 1).expect("pr5 engine runs");
-    for threads in [1usize, 16] {
-        let current = run_study_with_threads(&study, threads).expect("engine runs");
-        assert_identical(
-            &current,
-            &reference,
-            &format!("batched at {threads} threads"),
-        );
-    }
-}
-
-/// Incumbent seeding must be invisible in the results: cold, recording,
-/// and fully warm seeded runs all match the unseeded engine at 1 and 16
-/// threads. The first loop records the seeds; the second runs entirely
-/// warm against them.
-#[test]
-fn seeded_engine_matches_cold_engine_at_1_and_16_threads() {
-    let study = stress_study();
-    let reference = run_study_with_threads(&study, 1).expect("engine runs");
+    let reference = oracle::run_study(&study).expect("oracle runs");
     let cache = SubarrayCache::new();
     let seeds = IncumbentStore::new();
     for round in ["recording", "warm"] {
         for threads in [1usize, 16] {
-            let seeded =
-                run_study_seeded(&study, threads, &cache, &seeds).expect("seeded engine runs");
+            let seeded = StudyExecutor::with_threads(threads)
+                .cache(&cache)
+                .seeds(&seeds)
+                .run(&study, &mut NullSink)
+                .expect("seeded engine runs");
             assert_identical(
                 &seeded,
                 &reference,

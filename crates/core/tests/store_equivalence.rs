@@ -1,12 +1,23 @@
-//! Equivalence proof for store-backed studies: `run_study_with_store`
-//! must produce results byte-identical to the storeless engine at every
-//! thread count, cold store and warm store alike — and must keep doing so
+//! Equivalence proof for store-backed studies: a `StudyExecutor` backed by
+//! the persistent store must produce results byte-identical to the serial
+//! oracle at every thread count, cold store and warm store alike — and must keep doing so
 //! after the store is corrupted on disk, when every load degrades to
 //! recomputation.
 
 use nvmexplorer_core::config::{CellSelection, StudyConfig, TrafficSpec};
-use nvmexplorer_core::sweep::{run_study_with_store, run_study_with_threads};
+use nvmexplorer_core::stream::{NullSink, StudyExecutor};
+use nvmexplorer_core::sweep::{oracle, StudyResult};
 use std::path::{Path, PathBuf};
+
+/// One study through a fresh executor whose cache is backed by the store
+/// at `dir` — a new process attaching to the store.
+fn run_with_store(study: &StudyConfig, threads: usize, dir: &Path) -> StudyResult {
+    StudyExecutor::with_threads(threads)
+        .store(dir)
+        .expect("store dir opens")
+        .run(study, &mut NullSink)
+        .expect("store-backed run")
+}
 
 fn small_study() -> StudyConfig {
     StudyConfig {
@@ -58,13 +69,13 @@ fn corrupt_every_slab(dir: &Path) {
 fn store_backed_results_match_storeless_at_every_thread_count() {
     let study = small_study();
     let dir = temp_dir("threads");
+    let reference = oracle::run_study(&study).expect("oracle runs");
     for threads in [1usize, 16] {
-        let reference = run_study_with_threads(&study, threads).expect("storeless run");
-        let cold = run_study_with_store(&study, threads, &dir).expect("cold-store run");
+        let cold = run_with_store(&study, threads, &dir);
         assert_eq!(reference.arrays, cold.arrays, "{threads} threads, cold");
         assert_eq!(reference.evaluations, cold.evaluations);
         assert_eq!(reference.skipped, cold.skipped);
-        let warm = run_study_with_store(&study, threads, &dir).expect("warm-store run");
+        let warm = run_with_store(&study, threads, &dir);
         assert_eq!(reference.arrays, warm.arrays, "{threads} threads, warm");
         assert_eq!(reference.evaluations, warm.evaluations);
         assert_eq!(reference.skipped, warm.skipped);
@@ -75,12 +86,12 @@ fn store_backed_results_match_storeless_at_every_thread_count() {
 #[test]
 fn a_corrupted_store_still_yields_storeless_results() {
     let study = small_study();
-    let reference = run_study_with_threads(&study, 2).expect("storeless run");
+    let reference = oracle::run_study(&study).expect("oracle runs");
     let dir = temp_dir("corrupt");
-    let _ = run_study_with_store(&study, 2, &dir).expect("publishing run");
+    let _ = run_with_store(&study, 2, &dir);
     corrupt_every_slab(&dir);
     for threads in [1usize, 16] {
-        let damaged = run_study_with_store(&study, threads, &dir).expect("corrupt-store run");
+        let damaged = run_with_store(&study, threads, &dir);
         assert_eq!(
             reference.arrays, damaged.arrays,
             "corruption changed the winners at {threads} threads"

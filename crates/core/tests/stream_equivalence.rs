@@ -1,13 +1,13 @@
-//! The streaming refactor's proof obligations: for any study config, the
-//! [`StudyResult`] assembled from the event stream is byte-identical to the
-//! batch engine's return value, and the event stream itself is
-//! deterministic across thread counts.
+//! The streaming engine's proof obligations: for any study config, the
+//! [`StudyResult`] assembled from the event stream — and the one the
+//! executor returns — is byte-identical to the serial oracle's, and the
+//! event stream itself is deterministic across thread counts.
 
 use nvmexplorer_core::config::{
     ArraySettings, CellSelection, Constraints, StudyConfig, TrafficSpec,
 };
 use nvmexplorer_core::stream::{ResultSink, StudyEvent, StudyExecutor, StudyResultBuilder};
-use nvmexplorer_core::sweep::{run_study_with_cache, StudyResult};
+use nvmexplorer_core::sweep::{oracle, StudyResult};
 use nvmx_celldb::TechnologyClass;
 use nvmx_nvsim::{OptimizationTarget, SubarrayCache};
 use nvmx_units::BitsPerCell;
@@ -91,10 +91,9 @@ fn stress_study() -> StudyConfig {
 }
 
 #[test]
-fn streamed_assembly_is_byte_identical_to_the_batch_engine() {
+fn streamed_assembly_is_byte_identical_to_the_oracle() {
     let study = stress_study();
-    let cache = SubarrayCache::new();
-    let batch = run_study_with_cache(&study, 8, &cache).unwrap();
+    let batch = oracle::run_study(&study).unwrap();
     for threads in [1usize, 4, 16] {
         let mut builder = StudyResultBuilder::new();
         let returned = StudyExecutor::with_threads(threads)
@@ -203,12 +202,11 @@ fn arb_study() -> impl Strategy<Value = StudyConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For *any* config: the stream-assembled result equals
-    /// `run_study_with_cache`, and the stream is thread-count invariant.
+    /// For *any* config: the stream-assembled result equals the oracle's,
+    /// and the stream is thread-count invariant.
     #[test]
     fn any_config_streams_byte_identically(study in arb_study()) {
-        let cache = SubarrayCache::new();
-        let batch = run_study_with_cache(&study, 4, &cache).unwrap();
+        let batch = oracle::run_study(&study).unwrap();
 
         let mut builder = StudyResultBuilder::new();
         let mut serial = Tape::default();

@@ -1,14 +1,12 @@
 //! Engine-level regression tests for the lock-free shared-DSE sweep:
 //! thread-count determinism on a large multi-target study, and full
-//! `StudyResult` equivalence against the pre-overhaul baseline engine.
+//! `StudyResult` equivalence against the serial oracle.
 
 use nvmexplorer_core::config::{
     ArraySettings, CellSelection, Constraints, StudyConfig, TrafficSpec,
 };
-use nvmexplorer_core::sweep::{
-    baseline, run_study_pr1, run_study_uncached, run_study_with_cache, run_study_with_threads,
-    StudyResult,
-};
+use nvmexplorer_core::stream::{NullSink, StudyExecutor};
+use nvmexplorer_core::sweep::{oracle, StudyResult};
 use nvmx_nvsim::{OptimizationTarget, SubarrayCache};
 use nvmx_units::BitsPerCell;
 
@@ -44,6 +42,19 @@ fn large_study() -> StudyConfig {
     }
 }
 
+fn run_with_threads(study: &StudyConfig, threads: usize) -> StudyResult {
+    StudyExecutor::with_threads(threads)
+        .run(study, &mut NullSink)
+        .unwrap()
+}
+
+fn run_with_cache(study: &StudyConfig, cache: &SubarrayCache) -> StudyResult {
+    StudyExecutor::with_threads(8)
+        .cache(cache)
+        .run(study, &mut NullSink)
+        .unwrap()
+}
+
 fn assert_results_identical(a: &StudyResult, b: &StudyResult) {
     assert_eq!(a.arrays.len(), b.arrays.len(), "array count");
     for (x, y) in a.arrays.iter().zip(&b.arrays) {
@@ -56,7 +67,7 @@ fn assert_results_identical(a: &StudyResult, b: &StudyResult) {
 #[test]
 fn large_multi_target_study_is_deterministic_from_1_to_16_threads() {
     let study = large_study();
-    let serial = run_study_with_threads(&study, 1).unwrap();
+    let serial = run_with_threads(&study, 1);
     // The default selection spans 14 cells × 2 capacities × 2 depths ×
     // 3 targets; make sure the study is actually big enough to interleave.
     assert!(
@@ -66,28 +77,15 @@ fn large_multi_target_study_is_deterministic_from_1_to_16_threads() {
     );
     assert!(!serial.skipped.is_empty(), "SRAM at MLC-2 must be skipped");
     for threads in [2, 4, 8, 16] {
-        let parallel = run_study_with_threads(&study, threads);
-        assert_results_identical(&serial, &parallel.unwrap());
+        assert_results_identical(&serial, &run_with_threads(&study, threads));
     }
-}
-
-#[test]
-fn cached_and_uncached_engines_are_byte_identical() {
-    let study = large_study();
-    let cached = run_study_with_threads(&study, 8).unwrap();
-    let uncached = run_study_uncached(&study, 8).unwrap();
-    assert_results_identical(&cached, &uncached);
-    // The PR-1 materializing pass must also agree, so bench comparisons
-    // against it measure speed, never drift.
-    let pr1 = run_study_pr1(&study, 8).unwrap();
-    assert_results_identical(&cached, &pr1);
 }
 
 #[test]
 fn shared_cache_reuses_subarray_physics_across_capacities_and_runs() {
     let study = large_study();
     let cache = SubarrayCache::new();
-    let first = run_study_with_cache(&study, 8, &cache).unwrap();
+    let first = run_with_cache(&study, &cache);
     let cold = cache.stats();
     assert!(cold.misses > 0, "cold run must characterize something");
     // Two capacities × two depths per cell share one geometry space: the
@@ -101,7 +99,7 @@ fn shared_cache_reuses_subarray_physics_across_capacities_and_runs() {
 
     // A second run over the same cache is served entirely from memory and
     // still produces byte-identical results.
-    let second = run_study_with_cache(&study, 8, &cache).unwrap();
+    let second = run_with_cache(&study, &cache);
     assert_results_identical(&first, &second);
     let warm = cache.stats();
     assert_eq!(
@@ -111,25 +109,17 @@ fn shared_cache_reuses_subarray_physics_across_capacities_and_runs() {
     assert!(warm.hits > cold.hits);
 }
 
+/// The engine — pruned, cached, fanned out, batch-evaluated — against the
+/// serial, uncached, exhaustive oracle: every array, evaluation, and skip
+/// must agree, skips in exact job order.
 #[test]
-fn shared_dse_engine_matches_the_per_target_baseline_byte_for_byte() {
+fn shared_dse_engine_matches_the_oracle_byte_for_byte() {
     let study = large_study();
-    let shared = run_study_with_threads(&study, 8).unwrap();
-    // Single-threaded baseline: deterministic reference ordering.
-    let reference = baseline::run_study_with_threads(&study, 1).unwrap();
-    assert_eq!(
-        shared.arrays, reference.arrays,
-        "arrays must be byte-identical"
+    let reference = oracle::run_study(&study).unwrap();
+    assert!(
+        !reference.skipped.is_empty(),
+        "SRAM at MLC-2 must be skipped"
     );
-    assert_eq!(
-        shared.evaluations, reference.evaluations,
-        "evaluations must be byte-identical"
-    );
-    // The baseline pops its job queue LIFO, so its skip order is its own;
-    // compare as sorted multisets.
-    let mut a = shared.skipped.clone();
-    let mut b = reference.skipped.clone();
-    a.sort();
-    b.sort();
-    assert_eq!(a, b, "skipped entries must agree");
+    let engine = run_with_threads(&study, 8);
+    assert_results_identical(&engine, &reference);
 }

@@ -10,7 +10,7 @@ use nvmexplorer_core::config::{
 };
 use nvmexplorer_core::fault_study::FaultStudyResult;
 use nvmexplorer_core::stream::{ResultSink, StudyEvent, StudyExecutor};
-use nvmexplorer_core::sweep::{run_study_with_threads, StudyResult};
+use nvmexplorer_core::sweep::StudyResult;
 use nvmexplorer_core::wire::{
     replay, replay_into, EventReplayer, OwnedStudyEvent, Shard, SlotMerger, StreamReplayer,
     WireError, WireFrame, WireSink, WIRE_VERSION,
@@ -579,7 +579,9 @@ proptest! {
     /// workers — for any study config.
     #[test]
     fn in_process_sharded_and_replayed_results_are_byte_identical(study in arb_study()) {
-        let batch = run_study_with_threads(&study, 4).unwrap();
+        let batch = StudyExecutor::with_threads(4)
+            .run(&study, &mut nvmexplorer_core::stream::NullSink)
+            .unwrap();
 
         // 1 worker: a single unsharded capture.
         let whole = capture_shard(&study, Shard::WHOLE, 1);

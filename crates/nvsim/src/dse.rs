@@ -8,7 +8,7 @@
 //! lower bound ([`crate::bounds`]) says it could still beat that target's
 //! incumbent. Skipped candidates are proven non-winners, so winners — and
 //! everything derived from them — are byte-identical to the exhaustive
-//! scan (kept as [`optimize_targets_unpruned`] for proofs and benches).
+//! scan, [`optimize_targets_unpruned`], which the test oracle runs.
 //! Nothing is materialized per candidate: incumbents hold lightweight
 //! [`Bank`] records, and only each target's winner is packaged into a full
 //! result.
@@ -415,11 +415,13 @@ pub fn optimize_targets_seeded(
     Ok(results.into_iter().map(|(_, _, array)| array).collect())
 }
 
-/// The exhaustive (PR 2–4) scan: characterizes **every** candidate into a
-/// materialized bank vector, then selects per target. Observationally
-/// identical to [`optimize_targets_cached`]; kept so tests can prove the
-/// branch-and-bound scan byte-identical and benches can measure the win.
-/// Not part of the supported API.
+/// The exhaustive scan: characterizes **every** candidate from scratch (no
+/// cache, no pruning) into a bank vector, then selects per target with the
+/// first-strictly-better rule. Observationally identical to
+/// [`optimize_targets_cached`]; it is the DSE half of the sweep engine's
+/// test oracle, so tests can prove the branch-and-bound scan — and
+/// everything layered on it — byte-identical. Not part of the supported
+/// API.
 ///
 /// # Errors
 ///
@@ -429,7 +431,6 @@ pub fn optimize_targets_unpruned(
     cell: &CellDefinition,
     config: &ArrayConfig,
     targets: &[OptimizationTarget],
-    cache: Option<&SubarrayCache>,
 ) -> Result<Vec<ArrayCharacterization>, CharacterizationError> {
     if targets.is_empty() {
         return Ok(Vec::new());
@@ -441,7 +442,7 @@ pub fn optimize_targets_unpruned(
             supported: cell.max_bits_per_cell,
         });
     }
-    let orgs = enumerate_organizations_indexed(config);
+    let orgs = enumerate_organizations(config);
     if orgs.is_empty() {
         return Err(CharacterizationError::NoValidOrganization {
             cell: cell.name.clone(),
@@ -449,30 +450,25 @@ pub fn optimize_targets_unpruned(
         });
     }
     let tech = lookup(config.node);
-    let mut session = cache.map(|cache| cache.session(cell, &tech, config.bits_per_cell));
     let banks: Vec<Bank> = orgs
         .into_iter()
-        .map(|(org, slot)| {
-            let sub = match &mut session {
-                Some(session) => session.lookup(Some(slot), org.rows, org.cols, org.mux),
-                None => Subarray::characterize(
-                    &tech,
-                    cell,
-                    org.rows,
-                    org.cols,
-                    org.mux,
-                    config.bits_per_cell,
-                ),
-            };
+        .map(|org| {
+            let sub = Subarray::characterize(
+                &tech,
+                cell,
+                org.rows,
+                org.cols,
+                org.mux,
+                config.bits_per_cell,
+            );
             Bank::compose(&tech, sub, org, config.word_bits)
         })
         .collect();
     targets
         .iter()
         .map(|&target| {
-            // First strictly-better scan order matches the per-target
-            // optimizer exactly, so ties resolve identically. Incumbent
-            // scores are cached — score() per candidate, not per compare.
+            // First strictly-better scan order matches the branch-and-bound
+            // scan's update rule, so ties resolve identically.
             let mut best: Option<(usize, f64)> = None;
             let mut best_unconstrained: Option<(usize, f64)> = None;
             for (index, bank) in banks.iter().enumerate() {
@@ -512,74 +508,6 @@ pub fn optimize_targets(
     targets: &[OptimizationTarget],
 ) -> Result<Vec<ArrayCharacterization>, CharacterizationError> {
     optimize_targets_cached(cell, config, targets, None)
-}
-
-/// The pre-cache scoring path: materializes a full [`ArrayCharacterization`]
-/// for **every** candidate (two string clones + full packaging each) and
-/// clones the winner out of the candidate vector. Kept only so benches and
-/// regression tests can measure and prove the zero-copy restructure against
-/// the previous engine. Not part of the supported API.
-///
-/// # Errors
-///
-/// Same conditions as [`optimize`].
-#[doc(hidden)]
-pub fn optimize_targets_materialized(
-    cell: &CellDefinition,
-    config: &ArrayConfig,
-    targets: &[OptimizationTarget],
-) -> Result<Vec<ArrayCharacterization>, CharacterizationError> {
-    if targets.is_empty() {
-        return Ok(Vec::new());
-    }
-    if !cell.supports(config.bits_per_cell) {
-        return Err(CharacterizationError::UnsupportedBitsPerCell {
-            cell: cell.name.clone(),
-            requested: config.bits_per_cell,
-            supported: cell.max_bits_per_cell,
-        });
-    }
-    let orgs = enumerate_organizations(config);
-    if orgs.is_empty() {
-        return Err(CharacterizationError::NoValidOrganization {
-            cell: cell.name.clone(),
-            capacity: config.capacity,
-        });
-    }
-    let tech = lookup(config.node);
-    let candidates: Vec<ArrayCharacterization> = orgs
-        .into_iter()
-        .map(|org| characterize_organization_with(&tech, cell, config, org))
-        .collect();
-    targets
-        .iter()
-        .map(|&target| {
-            let mut best: Option<(usize, f64)> = None;
-            let mut best_unconstrained: Option<(usize, f64)> = None;
-            for (index, candidate) in candidates.iter().enumerate() {
-                let score = candidate.score(target);
-                let improves = |incumbent: Option<(usize, f64)>| match incumbent {
-                    None => true,
-                    Some((_, incumbent_score)) => score < incumbent_score,
-                };
-                if candidate.area_efficiency.value() >= MIN_AREA_EFFICIENCY && improves(best) {
-                    best = Some((index, score));
-                }
-                if improves(best_unconstrained) {
-                    best_unconstrained = Some((index, score));
-                }
-            }
-            let (index, _) = best.or(best_unconstrained).ok_or_else(|| {
-                CharacterizationError::NoValidOrganization {
-                    cell: cell.name.clone(),
-                    capacity: config.capacity,
-                }
-            })?;
-            let mut winner = candidates[index].clone();
-            winner.target = target;
-            Ok(winner)
-        })
-        .collect()
 }
 
 /// Runs the full organization search and returns the best design under
@@ -650,20 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_scan_matches_the_materialized_scoring_path() {
-        // The PR-1 engine packaged every candidate before scoring; the
-        // zero-copy scan must select and package identically.
-        let cell = stt();
-        for target in OptimizationTarget::ALL {
-            let config = cfg(target);
-            let fast = optimize_targets(&cell, &config, &OptimizationTarget::ALL).unwrap();
-            let reference =
-                optimize_targets_materialized(&cell, &config, &OptimizationTarget::ALL).unwrap();
-            assert_eq!(fast, reference, "scoring paths diverged under {target}");
-        }
-    }
-
-    #[test]
     fn cached_pass_is_bit_identical_and_hits_on_reuse() {
         let cell = stt();
         let config = cfg(OptimizationTarget::ReadEdp);
@@ -689,10 +603,13 @@ mod tests {
 
     #[test]
     fn bank_score_matches_packaged_score_for_every_target() {
+        // Covers every organization of the config: the scan scores banks
+        // in place and packages only winners, so the per-candidate score
+        // must equal the packaged record's score bit for bit everywhere.
         let cell = stt();
         let config = cfg(OptimizationTarget::ReadLatency);
         let tech = lookup(config.node);
-        for org in enumerate_organizations(&config).into_iter().take(8) {
+        for org in enumerate_organizations(&config) {
             let sub = Subarray::characterize(
                 &tech,
                 &cell,

@@ -1,5 +1,5 @@
 //! Property proof for branch-and-bound DSE pruning: the pruned streaming
-//! scan must return bit-identical winners to the exhaustive (PR 2–4) scan
+//! scan must return bit-identical winners to the exhaustive scan
 //! for random tentpole cells, capacities, programming depths, and target
 //! subsets — with and without a subarray cache — and the score lower
 //! bounds driving the pruning must never exceed the true scores.
@@ -43,7 +43,7 @@ proptest! {
             .with_bits_per_cell(depth);
 
         let cache = SubarrayCache::new();
-        let unpruned = optimize_targets_unpruned(cell, &config, &targets, None);
+        let unpruned = optimize_targets_unpruned(cell, &config, &targets);
         let pruned = characterize_targets(cell, &config, &targets);
         let pruned_cached = characterize_targets_cached(cell, &config, &targets, &cache);
 

@@ -5,7 +5,7 @@ use nvmexplorer_core::config::{
     ArraySettings, CellSelection, Constraints, OutputSpec, StudyConfig, TrafficSpec,
 };
 use nvmexplorer_core::explore::ResultSet;
-use nvmexplorer_core::sweep::run_study;
+use nvmexplorer_core::stream::{NullSink, StudyExecutor};
 use nvmx_celldb::TechnologyClass;
 use nvmx_nvsim::OptimizationTarget;
 use nvmx_units::BitsPerCell;
@@ -65,14 +65,18 @@ fn handwritten_json_is_accepted() {
     }"#;
     let study = StudyConfig::from_json(json).expect("parses with defaults");
     assert_eq!(study.array.capacities_mib, vec![2]);
-    let result = run_study(&study).expect("runs");
+    let result = StudyExecutor::new()
+        .run(&study, &mut NullSink)
+        .expect("runs");
     assert_eq!(result.evaluations.len(), result.arrays.len() * 9);
 }
 
 #[test]
 fn constraints_filter_results_after_a_run() {
     let study = main_dnn_study();
-    let result = run_study(&study).expect("runs");
+    let result = StudyExecutor::new()
+        .run(&study, &mut NullSink)
+        .expect("runs");
     let set = ResultSet::new(result.evaluations);
     let constrained = set.constrained(&study.constraints);
     assert!(
@@ -104,7 +108,9 @@ fn narrowed_selection_excludes_other_technologies() {
         back_gated_fefet: false,
         ..CellSelection::default()
     };
-    let result = run_study(&study).expect("runs");
+    let result = StudyExecutor::new()
+        .run(&study, &mut NullSink)
+        .expect("runs");
     assert!(result
         .arrays
         .iter()

@@ -3,7 +3,7 @@
 
 use nvmexplorer_core::config::{ArraySettings, CellSelection, StudyConfig, TrafficSpec};
 use nvmexplorer_core::explore::{Objective, ResultSet};
-use nvmexplorer_core::sweep::run_study;
+use nvmexplorer_core::stream::{NullSink, StudyExecutor};
 use nvmx_celldb::TechnologyClass;
 
 fn dnn_study() -> StudyConfig {
@@ -29,7 +29,9 @@ fn dnn_study() -> StudyConfig {
 
 #[test]
 fn dnn_study_runs_and_produces_a_power_winner() {
-    let result = run_study(&dnn_study()).expect("study runs");
+    let result = StudyExecutor::new()
+        .run(&dnn_study(), &mut NullSink)
+        .expect("study runs");
     assert_eq!(
         result.arrays.len(),
         14,
@@ -50,7 +52,9 @@ fn dnn_study_runs_and_produces_a_power_winner() {
 #[test]
 fn envm_power_advantage_over_sram_holds_end_to_end() {
     // Paper Fig. 6: PCM/RRAM/STT offer >4x lower total memory power.
-    let result = run_study(&dnn_study()).expect("study runs");
+    let result = StudyExecutor::new()
+        .run(&dnn_study(), &mut NullSink)
+        .expect("study runs");
     let set = ResultSet::new(result.evaluations);
     let power_of = |tech: TechnologyClass, flavor: &str| -> f64 {
         set.evaluations()
@@ -77,7 +81,9 @@ fn envm_power_advantage_over_sram_holds_end_to_end() {
 
 #[test]
 fn multi_task_needs_more_power_than_single_task() {
-    let single = run_study(&dnn_study()).expect("runs");
+    let single = StudyExecutor::new()
+        .run(&dnn_study(), &mut NullSink)
+        .expect("runs");
     let mut multi_cfg = dnn_study();
     multi_cfg.traffic = TrafficSpec::DnnContinuous {
         model: "resnet26".into(),
@@ -85,7 +91,9 @@ fn multi_task_needs_more_power_than_single_task() {
         store_activations: false,
         fps: 60.0,
     };
-    let multi = run_study(&multi_cfg).expect("runs");
+    let multi = StudyExecutor::new()
+        .run(&multi_cfg, &mut NullSink)
+        .expect("runs");
     let stt_power = |r: &nvmexplorer_core::StudyResult| -> f64 {
         r.evaluations
             .iter()
@@ -102,8 +110,12 @@ fn json_config_roundtrip_drives_the_same_study() {
     let study = dnn_study();
     let json = study.to_json();
     let parsed = StudyConfig::from_json(&json).expect("parses");
-    let a = run_study(&study).expect("runs");
-    let b = run_study(&parsed).expect("runs");
+    let a = StudyExecutor::new()
+        .run(&study, &mut NullSink)
+        .expect("runs");
+    let b = StudyExecutor::new()
+        .run(&parsed, &mut NullSink)
+        .expect("runs");
     assert_eq!(a.arrays.len(), b.arrays.len());
     let names = |r: &nvmexplorer_core::StudyResult| -> Vec<String> {
         r.arrays.iter().map(|x| x.cell_name.clone()).collect()
