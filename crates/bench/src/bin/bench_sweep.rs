@@ -33,7 +33,9 @@
 //!   `StudyExecutor::run_fault` — with determinism across thread counts
 //!   and every trial's bit-identity to the full-forward oracle asserted,
 //!   the zero-flip trial count recorded, and end-to-end trial throughput
-//!   recorded and floor-gated.
+//!   recorded and floor-gated. `classifier_train_ms` times a cold build
+//!   of the shared classifier (`trained_classifier`), the training every
+//!   fresh process pays before its first trial.
 //! - **`multi_study` seeded queue** (the PR 6 seeding target): the same
 //!   campaign queue run once more through one shared [`IncumbentStore`]
 //!   (single lane, so warmth is deterministic): studies whose design
@@ -80,6 +82,7 @@ use nvmexplorer_core::stream::{NullSink, StudyExecutor};
 use nvmexplorer_core::sweep::{oracle, StudyResult};
 use nvmx_nvsim::{IncumbentStore, OptimizationTarget, SubarrayCache};
 use nvmx_units::BitsPerCell;
+use nvmx_workloads::nn::trained_classifier;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -114,6 +117,11 @@ const EVALS_PER_SEC_FLOOR: f64 = 100_000.0;
 /// run three orders of magnitude above this; the floor only catches a
 /// gross regression such as rebuilding the classifier per trial.
 const FAULT_TRIALS_PER_SEC_FLOOR: f64 = 5.0;
+
+/// Training seed of the shared fault-study classifier (`DNN_SEED` in
+/// `nvmexplorer_core::accuracy`); the sanity pass checks that it rebuilds
+/// the shared evaluator's clean weight image.
+const CLASSIFIER_SEED: u64 = 2022;
 
 /// Floor on the warm-store L2 hit rate: a fresh cache (a cold process's
 /// empty L1) over a fully published store must serve essentially every
@@ -434,6 +442,11 @@ fn main() {
     // quick mode's single unwarmed rep times the campaign, not training.)
     let fault = fault_campaign();
     let _ = nvmexplorer_core::accuracy::baseline_accuracy();
+    assert_eq!(
+        trained_classifier(CLASSIFIER_SEED).0.weight_bytes(),
+        nvmexplorer_core::accuracy::evaluator().clean_image(),
+        "CLASSIFIER_SEED must rebuild the shared fault-study classifier"
+    );
     let fault_reference = StudyExecutor::with_threads(8)
         .run_fault(&fault, &mut NullSink)
         .expect("fault campaign runs");
@@ -545,6 +558,7 @@ fn main() {
     }
 
     // --- fault_campaign group (the PR 7 target) ----------------------------
+    let classifier_train_ms = median_ms(reps, || drop(trained_classifier(CLASSIFIER_SEED)));
     let mut fault_rows = Vec::new();
     for threads in [1usize, 8] {
         let executor = StudyExecutor::with_threads(threads);
@@ -853,6 +867,10 @@ fn main() {
         fault_reference.fault.stats.degraded
     );
     let _ = writeln!(json, "    \"zero_flip_trials\": {zero_flip_trials},");
+    let _ = writeln!(
+        json,
+        "    \"classifier_train_ms\": {classifier_train_ms:.2},"
+    );
     json.push_str("    \"results_ms_median\": [\n");
     for (i, (threads, current_ms)) in fault_rows.iter().enumerate() {
         let _ = writeln!(
@@ -939,12 +957,13 @@ fn main() {
         .map(|(_, ms)| evaluations_per_sec(fault_reference.fault.trials.len(), *ms))
         .fold(0.0f64, f64::max);
     eprintln!(
-        "fault campaign ({} models, {} trials, {} with no flip, {} degraded): best {:.1} trials/s end-to-end, every trial equal to the full-forward oracle",
+        "fault campaign ({} models, {} trials, {} with no flip, {} degraded): best {:.1} trials/s end-to-end, every trial equal to the full-forward oracle; cold classifier build {:.2} ms",
         fault_reference.fault.stats.models,
         fault_reference.fault.stats.trials,
         zero_flip_trials,
         fault_reference.fault.stats.degraded,
-        fault_best_trials_per_sec
+        fault_best_trials_per_sec,
+        classifier_train_ms
     );
     let store_one = store_rows.iter().find(|(t, ..)| *t == 1).unwrap();
     eprintln!(

@@ -80,11 +80,11 @@ impl Mlp {
 
     /// Forward pass over a batch (one sample per row).
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
+        let mut h: Option<Matrix> = None;
         for layer in &self.layers {
-            h = layer.forward(&h);
+            h = Some(layer.forward(h.as_ref().unwrap_or(x)));
         }
-        h
+        h.unwrap_or_else(|| x.clone())
     }
 
     /// Total parameter count.
@@ -115,10 +115,13 @@ impl Mlp {
         let mut total_loss = 0.0f64;
         let mut batches = 0;
 
+        let dim = data.images.cols();
         for chunk in order.chunks(batch.max(1)) {
-            let bx = Matrix::from_fn(chunk.len(), data.images.cols(), |r, c| {
-                data.images.get(chunk[r], c)
-            });
+            let mut rows = Vec::with_capacity(chunk.len() * dim);
+            for &i in chunk {
+                rows.extend_from_slice(data.images.row(i));
+            }
+            let bx = Matrix::from_vec(chunk.len(), dim, rows);
             let by: Vec<usize> = chunk.iter().map(|&i| data.labels[i]).collect();
             total_loss += self.sgd_step(&bx, &by, lr);
             batches += 1;
@@ -129,13 +132,14 @@ impl Mlp {
     /// One SGD step on a batch; returns batch loss.
     #[allow(clippy::needless_range_loop)] // r/c index matrices and labels together
     fn sgd_step(&mut self, x: &Matrix, labels: &[usize], lr: f32) -> f64 {
-        // Forward, caching activations.
-        let mut activations = vec![x.clone()];
+        // Forward, caching every layer's output; layer `i`'s input is
+        // output `i - 1`, or `x` for the first layer.
+        let mut outputs: Vec<Matrix> = Vec::with_capacity(self.layers.len());
         for layer in &self.layers {
-            let next = layer.forward(activations.last().expect("nonempty"));
-            activations.push(next);
+            let next = layer.forward(outputs.last().unwrap_or(x));
+            outputs.push(next);
         }
-        let logits = activations.last().expect("nonempty").clone();
+        let logits = outputs.last().expect("at least one layer");
         let batch = x.rows() as f32;
 
         // Softmax + cross-entropy gradient: (softmax - onehot) / batch.
@@ -159,20 +163,18 @@ impl Mlp {
 
         // Backward through the layers.
         for i in (0..self.layers.len()).rev() {
-            let input = &activations[i];
-            let output = &activations[i + 1];
+            let input = if i == 0 { x } else { &outputs[i - 1] };
             // ReLU gradient mask.
             if self.layers[i].relu {
-                for r in 0..delta.rows() {
-                    for c in 0..delta.cols() {
-                        if output.get(r, c) <= 0.0 {
-                            delta.set(r, c, 0.0);
-                        }
+                for (d, &out) in delta.as_mut_slice().iter_mut().zip(outputs[i].as_slice()) {
+                    if out <= 0.0 {
+                        *d = 0.0;
                     }
                 }
             }
             let grad_w = input.transposed().matmul(&delta);
-            let next_delta = delta.matmul(&self.layers[i].weights.transposed());
+            // Nothing reads the gradient with respect to the network input.
+            let next_delta = (i > 0).then(|| delta.matmul(&self.layers[i].weights.transposed()));
             let layer = &mut self.layers[i];
             for (w, g) in layer
                 .weights
@@ -186,7 +188,9 @@ impl Mlp {
                 let g: f32 = (0..delta.rows()).map(|r| delta.get(r, c)).sum();
                 layer.bias[c] -= lr * g;
             }
-            delta = next_delta;
+            if let Some(next_delta) = next_delta {
+                delta = next_delta;
+            }
         }
         loss
     }
@@ -311,7 +315,7 @@ impl QuantizedMlp {
 
     /// Forward pass with dequantized weights.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
+        let mut h: Option<Matrix> = None;
         for i in 0..self.weights_q.len() {
             let w = Matrix::from_vec(
                 self.widths[i],
@@ -321,14 +325,14 @@ impl QuantizedMlp {
                     .map(|&q| q as f32 * self.scales[i])
                     .collect(),
             );
-            let mut y = h.matmul(&w);
+            let mut y = h.as_ref().unwrap_or(x).matmul(&w);
             y.add_row_bias(&self.biases[i]);
             if self.relu[i] {
                 y.relu_inplace();
             }
-            h = y;
+            h = Some(y);
         }
-        h
+        h.unwrap_or_else(|| x.clone())
     }
 
     /// Classification accuracy over a dataset.
@@ -613,6 +617,34 @@ mod tests {
         let mlp = Mlp::new(&[dataset::INPUT_DIM, 4, dataset::CLASSES], 26);
         let evaluator = TrialEvaluator::new(QuantizedMlp::quantize(&mlp), dataset::generate(8, 26));
         evaluator.accuracy(&[0u8; 3]);
+    }
+
+    /// Digest of `trained_classifier(2022)`; see the test below.
+    const PINNED: u64 = 0x4170_e628_5070_3801;
+
+    /// FNV-1a (64-bit) over `bytes`, continuing from `hash`.
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn the_shared_fault_study_classifier_is_pinned() {
+        // Seed 2022 is the fault studies' shared classifier (`DNN_SEED` in
+        // `nvmexplorer_core::accuracy`). The digest covers the weight image,
+        // every scale and bias bit, and the evaluator's baseline; it was
+        // taken before the register-tiled matmul and the leaner SGD step,
+        // so any change to the kernels or the training loop that alters a
+        // single bit of the trained network fails here.
+        let (quant, test) = trained_classifier(2022);
+        let mut hash = fnv1a(0xcbf2_9ce4_8422_2325, &quant.weight_bytes());
+        for v in quant.scales.iter().chain(quant.biases.iter().flatten()) {
+            hash = fnv1a(hash, &v.to_bits().to_le_bytes());
+        }
+        let baseline = TrialEvaluator::new(quant, test).baseline();
+        hash = fnv1a(hash, &baseline.to_bits().to_le_bytes());
+        assert_eq!(hash, PINNED, "digest {hash:#018x}");
     }
 
     #[test]

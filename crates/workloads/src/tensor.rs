@@ -104,17 +104,25 @@ impl Matrix {
     /// Summation-order contract (the incremental fault-trial evaluator in
     /// [`crate::nn`] relies on it to stay bit-identical to a full pass):
     ///
-    /// - each output element `(i, j)` starts at `0.0` and accumulates
+    /// - each output element `(i, j)` starts at `+0.0` and accumulates
     ///   `self[i][k] * rhs[k][j]` for `k` in ascending order, as a separate
     ///   IEEE multiply followed by a separate add — there is no FMA;
-    /// - left-operand entries equal to zero (`0.0` and `-0.0`) are skipped,
+    /// - left-operand entries equal to zero (`0.0` and `-0.0`) add nothing,
     ///   so their row of `rhs` never contributes, even when it holds an
     ///   `inf` or a NaN;
     /// - column `j` of the result depends only on column `j` of `rhs`.
     ///
-    /// On x86_64 hosts with AVX2 the same loop runs eight lanes wide; the
-    /// per-element operation sequence, and hence every result bit, is
-    /// unchanged.
+    /// The portable i-k-j loop is the reference: it skips zero left-operand
+    /// entries outright. On x86_64 hosts with AVX2, a product whose `rhs` is
+    /// all finite (checked once per call) runs a register-tiled kernel
+    /// instead: blocks of 4 rows × 16 columns keep their accumulators in
+    /// registers for the whole `k` loop and share each `rhs` row load, with
+    /// column remainders run 8 lanes wide, then scalar. It has no zero-skip
+    /// branch and needs none. An accumulator that starts at `+0.0` never
+    /// becomes `-0.0` under round-to-nearest, and a zero times a finite `b`
+    /// is `±0.0`, so adding it leaves every accumulator bit unchanged. An
+    /// `rhs` holding an `inf` or a NaN, where `0 × b` would be NaN, takes
+    /// the portable loop. Either way every result bit is the same.
     ///
     /// # Panics
     ///
@@ -175,10 +183,9 @@ impl Matrix {
     }
 }
 
-/// The i-k-j product loop behind [`Matrix::matmul`]: `out += lhs × rhs`
-/// for row-major `lhs` (`inner` columns) and `rhs` (`cols` columns).
-/// `inner` and `cols` must be non-zero.
-#[inline(always)]
+/// The portable i-k-j product loop behind [`Matrix::matmul`], and its
+/// reference: `out += lhs × rhs` for row-major `lhs` (`inner` columns) and
+/// `rhs` (`cols` columns). `inner` and `cols` must be non-zero.
 fn matmul_kernel(lhs: &[f32], inner: usize, rhs: &[f32], cols: usize, out: &mut [f32]) {
     for (lhs_row, out_row) in lhs.chunks_exact(inner).zip(out.chunks_exact_mut(cols)) {
         for (&a, rhs_row) in lhs_row.iter().zip(rhs.chunks_exact(cols)) {
@@ -192,27 +199,169 @@ fn matmul_kernel(lhs: &[f32], inner: usize, rhs: &[f32], cols: usize, out: &mut 
     }
 }
 
-/// [`matmul_kernel`] compiled for AVX2. Only `avx2` is enabled — never
-/// `fma` — so the compiler cannot fuse the multiply and the add.
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_kernel_avx2(lhs: &[f32], inner: usize, rhs: &[f32], cols: usize, out: &mut [f32]) {
-    matmul_kernel(lhs, inner, rhs, cols, out);
-}
-
-/// Runs [`matmul_kernel`] in the widest form the CPU supports.
+/// Writes `lhs × rhs` into the zeroed `out` with the fastest kernel whose
+/// result is bit-identical to [`matmul_kernel`] on these operands.
 fn matmul_dispatch(lhs: &[f32], inner: usize, rhs: &[f32], cols: usize, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if std::arch::is_x86_feature_detected!("avx2") && rhs.iter().all(|b| b.is_finite()) {
         // SAFETY: AVX2 support was just detected.
-        unsafe { matmul_kernel_avx2(lhs, inner, rhs, cols, out) };
+        unsafe { avx2::matmul(lhs, inner, rhs, cols, out) };
         return;
     }
     matmul_kernel(lhs, inner, rhs, cols, out);
+}
+
+/// The register-tiled AVX2 kernel. Only `avx2` is enabled — never `fma` —
+/// so every multiply and add stays a separate IEEE operation.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+
+    /// Output rows per register tile.
+    const TILE_ROWS: usize = 4;
+    /// `f32` lanes per ymm register.
+    const LANES: usize = 8;
+
+    /// Writes `lhs × rhs` into `out` for row-major `lhs` (`inner` columns),
+    /// `rhs` (`inner × cols`) and `out` (`cols` columns). Every element
+    /// starts at `+0.0` and adds `lhs[i][k] * rhs[k][j]` for `k` ascending,
+    /// zero `lhs` entries included, so the result matches the portable
+    /// loop bit for bit when `rhs` is all finite.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slice lengths do not fit those shapes, or when
+    /// `inner` or `cols` is zero.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn matmul(
+        lhs: &[f32],
+        inner: usize,
+        rhs: &[f32],
+        cols: usize,
+        out: &mut [f32],
+    ) {
+        assert!(inner > 0 && cols > 0, "empty inner or column dimension");
+        let rows = lhs.len() / inner;
+        assert!(
+            lhs.len() == rows * inner
+                && inner.checked_mul(cols) == Some(rhs.len())
+                && rows.checked_mul(cols) == Some(out.len()),
+            "operand shape mismatch"
+        );
+        let (lhs, rhs, out) = (lhs.as_ptr(), rhs.as_ptr(), out.as_mut_ptr());
+        let mut row = 0;
+        while row + TILE_ROWS <= rows {
+            // SAFETY: rows `row..row + TILE_ROWS` lie inside `lhs` and
+            // `out`, the shapes were checked above, and AVX2 is enabled.
+            unsafe {
+                row_block::<TILE_ROWS>(lhs.add(row * inner), inner, rhs, cols, out.add(row * cols))
+            };
+            row += TILE_ROWS;
+        }
+        let (lhs, out) = (lhs.wrapping_add(row * inner), out.wrapping_add(row * cols));
+        // SAFETY: the `rows - row` remaining rows lie inside `lhs` and
+        // `out`, the shapes were checked above, and AVX2 is enabled.
+        unsafe {
+            match rows - row {
+                3 => row_block::<3>(lhs, inner, rhs, cols, out),
+                2 => row_block::<2>(lhs, inner, rhs, cols, out),
+                1 => row_block::<1>(lhs, inner, rhs, cols, out),
+                _ => {}
+            }
+        }
+    }
+
+    /// Writes `R` rows of the product: 16-column tiles, then one 8-column
+    /// tile, then scalar columns.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. `lhs` points at `R` consecutive rows of
+    /// `inner` floats; `rhs` at `inner` rows and `out` at `R` writable
+    /// rows, each row `cols` floats long and `cols` floats after the last.
+    #[target_feature(enable = "avx2")]
+    unsafe fn row_block<const R: usize>(
+        lhs: *const f32,
+        inner: usize,
+        rhs: *const f32,
+        cols: usize,
+        out: *mut f32,
+    ) {
+        let mut col = 0;
+        while col + 2 * LANES <= cols {
+            // SAFETY: columns `col..col + 16` lie inside every row of `rhs`
+            // and `out`.
+            unsafe { tile::<R, 2>(lhs, inner, rhs.add(col), cols, out.add(col)) };
+            col += 2 * LANES;
+        }
+        if col + LANES <= cols {
+            // SAFETY: columns `col..col + 8` lie inside every row of `rhs`
+            // and `out`.
+            unsafe { tile::<R, 1>(lhs, inner, rhs.add(col), cols, out.add(col)) };
+            col += LANES;
+        }
+        for col in col..cols {
+            for r in 0..R {
+                let mut acc = 0.0f32;
+                for k in 0..inner {
+                    // SAFETY: `r < R`, `k < inner` and `col < cols` index
+                    // inside the rows the caller vouched for.
+                    unsafe { acc += *lhs.add(r * inner + k) * *rhs.add(k * cols + col) };
+                }
+                // SAFETY: as above, for `out`.
+                unsafe { *out.add(r * cols + col) = acc };
+            }
+        }
+    }
+
+    /// Writes one `R × (V * 8)` output tile, its accumulators held in
+    /// registers across the whole `k` loop and each `rhs` row loaded once
+    /// for all `R` rows.
+    ///
+    /// # Safety
+    ///
+    /// As [`row_block`], with `V * 8` readable (`rhs`) and writable (`out`)
+    /// floats from each row start.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tile<const R: usize, const V: usize>(
+        lhs: *const f32,
+        inner: usize,
+        rhs: *const f32,
+        cols: usize,
+        out: *mut f32,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for k in 0..inner {
+            let mut b = [_mm256_setzero_ps(); V];
+            for (v, b) in b.iter_mut().enumerate() {
+                // SAFETY: lanes `v * 8..v * 8 + 8` of `rhs` row `k` are in
+                // bounds by the caller's contract.
+                *b = unsafe { _mm256_loadu_ps(rhs.add(k * cols + v * LANES)) };
+            }
+            for (r, acc) in acc.iter_mut().enumerate() {
+                // SAFETY: `r < R` and `k < inner` index inside `lhs`.
+                let a = _mm256_set1_ps(unsafe { *lhs.add(r * inner + k) });
+                for (acc, &b) in acc.iter_mut().zip(&b) {
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(a, b));
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            for (v, &acc) in acc.iter().enumerate() {
+                // SAFETY: lanes `v * 8..v * 8 + 8` of `out` row `r` are in
+                // bounds and writable by the caller's contract.
+                unsafe { _mm256_storeu_ps(out.add(r * cols + v * LANES), acc) };
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -298,7 +447,7 @@ mod tests {
     fn dispatched_matmul_matches_the_portable_loop_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(13);
         for _ in 0..200 {
-            let rows = rng.gen_range(1..10);
+            let rows = rng.gen_range(1..14);
             let inner = rng.gen_range(1..301);
             let cols = rng.gen_range(1..71);
             // A quarter of the left operand is +0.0 or -0.0.
@@ -308,24 +457,11 @@ mod tests {
                 _ => rng.gen_range(-2.0f32..2.0),
             });
             let b = Matrix::from_fn(inner, cols, |_, _| rng.gen_range(-2.0f32..2.0));
-            let fast = a.matmul(&b);
             assert_eq!(
-                bits(&fast),
+                bits(&a.matmul(&b)),
                 bits(&portable(&a, &b)),
                 "{rows}x{inner}x{cols}"
             );
-            // Element (i, j) sums k in ascending order, skipping zero lhs.
-            for i in 0..rows {
-                for j in 0..cols {
-                    let mut acc = 0.0f32;
-                    for k in 0..inner {
-                        if a.get(i, k) != 0.0 {
-                            acc += a.get(i, k) * b.get(k, j);
-                        }
-                    }
-                    assert_eq!(fast.get(i, j).to_bits(), acc.to_bits());
-                }
-            }
         }
     }
 
